@@ -119,7 +119,7 @@ class BimoduleElement:
                 continue
             if z.residue % (1 << k_exp) != l:
                 continue
-            total += xi.value_at(t)
+            total += gridmod.grid_sample(xi, t)[0]
         return total
 
     # -- right action of the generators ----------------------------------------

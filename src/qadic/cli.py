@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -32,7 +31,7 @@ from .grid import (
     indicator,
     sample_symbol,
 )
-from .numbers import DEFAULT_PRECISION, PowerOfTwo, dyadic
+from .numbers import PowerOfTwo, dyadic
 from .wold import MonomialIsometry, build_extension_unitary, check_intertwining
 
 # -- expression language -------------------------------------------------------
@@ -226,9 +225,6 @@ class RunConfig:
     grid_exp: int = 6
     window: int = 16
     tol: float | None = None
-    precision: int = field(
-        default_factory=lambda: int(os.environ.get("QADIC_DEFAULT_PRECISION",
-                                                   DEFAULT_PRECISION)))
     out: str | None = None
     fmt: str = "text"
 
@@ -239,15 +235,13 @@ class RunConfig:
             raise ValueError("window must be a positive power of two")
         if self.tol is not None and self.tol <= 0:
             raise ValueError("tolerance must be positive")
-        if self.precision <= 0:
-            raise ValueError("precision must be positive")
         if self.fmt not in ("text", "json", "csv"):
             raise ValueError(f"unknown format {self.fmt!r}")
 
 
 def _config_from_args(args) -> RunConfig:
     return RunConfig(grid_exp=args.grid_exp, window=args.window, tol=args.tol,
-                     precision=args.precision, out=args.out, fmt=args.format)
+                     out=args.out, fmt=args.format)
 
 
 # -- case files --------------------------------------------------------------------
@@ -350,7 +344,6 @@ def run_duality_cases(cases: list[dict], config: RunConfig) -> dict:
     return {
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "grid": {"g": config.grid_exp, "window": config.window},
-        "precision": config.precision,
         "cases": results,
         "pass": all(r["pass"] for r in results),
     }
@@ -495,10 +488,6 @@ def _common_options(parser: argparse.ArgumentParser, top_level: bool) -> None:
                         help="grid resolution exponent (spacing 2^-g)")
     parser.add_argument("--tol", type=float, default=default(None),
                         help="override verification tolerance")
-    parser.add_argument("--precision", type=int,
-                        default=default(int(os.environ.get("QADIC_DEFAULT_PRECISION",
-                                                           DEFAULT_PRECISION))),
-                        help="2-adic working precision in bits")
     parser.add_argument("--format", choices=("text", "json", "csv"),
                         default=default("text"))
     parser.add_argument("--out", default=default(None),

@@ -71,19 +71,6 @@ class GridFunction:
             return 0.0, 0.0
         return self.start_index * self.h, (self.start_index + len(self.samples) - 1) * self.h
 
-    def value_at(self, x: float) -> complex:
-        """Linear interpolation between neighbouring samples; 0 outside."""
-        if self.is_zero():
-            return 0j
-        pos = x / self.h - self.start_index
-        i = math.floor(pos)
-        if i < -1 or i >= len(self.samples):
-            return 0j
-        frac = pos - i
-        left = self.samples[i] if i >= 0 else 0j
-        right = self.samples[i + 1] if i + 1 < len(self.samples) else 0j
-        return left * (1 - frac) + right * frac
-
     # -- refinement ------------------------------------------------------------
 
     def refine(self) -> "GridFunction":
@@ -160,7 +147,8 @@ def grid_sample(src: GridFunction, x) -> np.ndarray:
     Queries that form a uniform dyadic grid aligned with a refinement of
     the source are answered by exact sample lookup (after trigonometric or
     duplication refinement); anything else falls back to linear
-    interpolation.
+    interpolation between samples, with one zero sample beyond each end of
+    the support.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if src.is_zero() or len(x) == 0:
@@ -182,9 +170,10 @@ def grid_sample(src: GridFunction, x) -> np.ndarray:
         out = np.zeros(len(x), dtype=complex)
         out[valid] = fine.samples[pos[valid]]
         return out
-    pts = src.points()
-    re = np.interp(x, pts, src.samples.real, left=0.0, right=0.0)
-    im = np.interp(x, pts, src.samples.imag, left=0.0, right=0.0)
+    pts = (src.start_index - 1 + np.arange(len(src) + 2)) * src.h
+    vals = np.pad(src.samples, 1)
+    re = np.interp(x, pts, vals.real, left=0.0, right=0.0)
+    im = np.interp(x, pts, vals.imag, left=0.0, right=0.0)
     return re + 1j * im
 
 

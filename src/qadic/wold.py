@@ -11,9 +11,15 @@ complements of the unitary parts of S1 and S0, and extending it across the
 
     U S0 = S1   and   S0 U = U^2 S0.
 
-Everything here is exact: on a fixed basis vector the limit of V_n is
-reached after finitely many steps, and the number of steps is computed
-from the S1*-orbit of the index rather than guessed.
+Everything here is exact.  Since S0 S0* + S1 S1* = 1, every basis index
+lies in exactly one of im(S0), im(S1), so exactly one term of the sum is
+nonzero on e_n:
+
+    V e_n = S0^k S1 S0* e_m   with m = (S1*)^k n the first point of the
+                              S1*-orbit of n outside im(S1),
+
+and V e_n = 0 on the S1 fixed point, whose orbit never leaves.  V is thus
+a map on basis indices; ``build_vn`` keeps the symbolic partial sums.
 """
 
 from __future__ import annotations
@@ -120,42 +126,54 @@ def build_vn(S0: MonomialIsometry, S1: MonomialIsometry, n: int) -> Element:
     return out
 
 
-def _chain_length(S1: MonomialIsometry, b: int, guard: int,
-                  fixed_point: int | None) -> int | None:
-    """Number of S1* steps from basis index b until it leaves im(S1).
+def _orbit_exit(S1: MonomialIsometry, n: int, guard: int,
+                fixed_point: int | None) -> tuple[int, int] | None:
+    """Walk the S1*-orbit of n to its first point m outside im(S1).
 
-    Returns None when the orbit sits on the fixed point forever (the vector
-    is annihilated by the limit).  Raises NonTermination past the guard.
+    Returns (k, m) with m = (S1*)^k n, or None when n is the S1 fixed point
+    (the orbit stays there and V kills e_n).  Raises NonTermination past
+    the guard.
     """
-    steps = 0
-    while True:
-        if b == fixed_point:
-            return None
-        nxt = S1.adjoint_index(b)
+    k = 0
+    while n != fixed_point:
+        nxt = S1.adjoint_index(n)
         if nxt is None:
-            return steps
-        b = nxt
-        steps += 1
-        if steps > guard:
+            return k, n
+        n = nxt
+        k += 1
+        if k > guard:
             raise NonTermination(f"S1* orbit exceeded {guard} steps")
+    return None
+
+
+def _v_index(S0: MonomialIsometry, S1: MonomialIsometry, n: int, guard: int,
+             fixed_point: int | None) -> int | None:
+    """The basis index of V e_n = S0^k S1 S0* e_m, or None when V e_n = 0."""
+    exit_point = _orbit_exit(S1, n, guard, fixed_point)
+    if exit_point is None:
+        return None
+    k, m = exit_point
+    image = S1.apply_index(S0.adjoint_index(m))
+    for _ in range(k):
+        image = S0.apply_index(image)
+    return image
 
 
 def apply_v_limit(S0: MonomialIsometry, S1: MonomialIsometry, vec: dict) -> dict:
-    """The stable value of V_n applied to a finitely supported vector.
+    """The strong limit V applied to a finitely supported vector.
 
-    V_n v changes for the last time at the maximal S1*-orbit length over the
-    support of v, so the limit is evaluated there exactly (and checked
-    against one more step).
+    V sends each basis vector to a basis vector or to zero, so the values of
+    vec are only moved.  They come back as ``Element.apply`` returns them:
+    exact when every value is exact, complex otherwise, zeros dropped.
     """
     _check_cuntz(S0, S1)
-    if not vec:
-        return {}
-    wd1 = unitary_part(S1)
-    guard = GUARD_FACTOR * max(1, max(abs(n) for n in vec))
-    lengths = [_chain_length(S1, n, guard, wd1.fixed_point) for n in vec]
-    stable = max((k for k in lengths if k is not None), default=0)
-    out = build_vn(S0, S1, stable).apply(vec)
-    assert build_vn(S0, S1, stable + 1).apply(vec) == out
+    fixed_point = unitary_part(S1).fixed_point
+    guard = GUARD_FACTOR * max(1, max(map(abs, vec), default=0))
+    out = {}
+    for n, c in Element.one().apply(vec).items():
+        image = _v_index(S0, S1, n, guard, fixed_point)
+        if image is not None:
+            out[image] = c
     return out
 
 
@@ -163,7 +181,7 @@ def build_extension_unitary(S0: MonomialIsometry, S1: MonomialIsometry,
                             window: int, w_phase: complex = 1.0) -> dict:
     """Table n -> (image index, amplitude) of the extension unitary on [-N, N].
 
-    The shift parts are matched by the strong limit of the partial sums;
+    The shift parts are matched by the strong limit V of the partial sums;
     the unitary parts (when present) are matched by sending the S1 fixed
     basis vector to the S0 one, by default with amplitude +1.
     """
@@ -174,14 +192,11 @@ def build_extension_unitary(S0: MonomialIsometry, S1: MonomialIsometry,
             f"unitary parts are not equivalent: {wd0.kind} vs {wd1.kind}")
     table = {}
     for n in range(-window, window + 1):
-        if wd1.kind == "fixed" and n == wd1.fixed_point:
+        if n == wd1.fixed_point:
             table[n] = (wd0.fixed_point, complex(w_phase))
-            continue
-        image = apply_v_limit(S0, S1, {n: 1})
-        if len(image) != 1:
-            raise NonTermination(f"V is not a permutation at {n}: {image}")
-        ((m, c),) = image.items()
-        table[n] = (m, complex(c))
+        else:
+            guard = GUARD_FACTOR * max(1, abs(n))
+            table[n] = (_v_index(S0, S1, n, guard, wd1.fixed_point), 1 + 0j)
     return table
 
 

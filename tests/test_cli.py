@@ -106,13 +106,6 @@ def test_run_config_validation():
         RunConfig(window=12)
     with pytest.raises(ValueError):
         RunConfig(tol=-1.0)
-    cfg = RunConfig()
-    assert cfg.precision >= 1
-
-
-def test_precision_env_override(monkeypatch):
-    monkeypatch.setenv("QADIC_DEFAULT_PRECISION", "48")
-    assert RunConfig().precision == 48
 
 
 def test_case_value_parsers():

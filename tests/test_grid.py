@@ -14,6 +14,7 @@ from qadic.grid import (
     export_csv,
     fourier,
     fourier_inv,
+    grid_sample,
     import_csv,
     indicator,
     inner,
@@ -147,7 +148,7 @@ def test_fourier_matches_direct_quadrature():
     x = xi.points()
     for t in (0.0, 0.25, -1.5, 3.0):
         direct = np.sum(np.exp(2j * np.pi * t * x) * xi.samples) * xi.h
-        assert abs(ft.value_at(t) - direct) <= 1e-9
+        assert abs(grid_sample(ft, t)[0] - direct) <= 1e-9
 
 
 def test_plancherel():
@@ -208,10 +209,16 @@ def test_inner_mixed_grids():
 def test_affine_reindex_matches_pointwise():
     xi = indicator(4, 0, 1)
     out = affine_reindex(xi, 1, dyadic(1, 2))  # t -> xi(2t + 1/4)
-    for k in range(-20, 20):
-        t = k * out.h
-        expected = 1.0 if 0 <= 2 * t + 0.25 < 1 else 0.0
-        assert out.value_at(t).real == pytest.approx(expected, abs=1e-12)
+    t = np.arange(-20, 20) * out.h
+    expected = ((0 <= 2 * t + 0.25) & (2 * t + 0.25 < 1)).astype(float)
+    assert grid_sample(out, t).real == pytest.approx(expected, abs=1e-12)
+
+
+def test_grid_sample_off_grid_ramps_to_zero_outside_support():
+    # samples 2, 4 at x = 0, 1: linear inside, one-cell ramps to 0 outside
+    xi = GridFunction(0, 0, [2.0, 4.0])
+    x = [-1.5, -0.5, 0.5, 1.25, 1.75, 2.5]
+    assert grid_sample(xi, x) == pytest.approx([0, 1.0, 3.0, 3.0, 1.0, 0])
 
 
 # -- twisted correlation ----------------------------------------------------------------

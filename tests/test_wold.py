@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qadic.algebra import Monomial, one, s, u
+from qadic import wold
+from qadic.algebra import Monomial, RationalComplex, one, s, u
 from qadic.errors import CuntzRelationViolation, UnsupportedIsometry
 from qadic.wold import (
     MonomialIsometry,
@@ -114,6 +117,55 @@ def test_apply_v_limit_late_stabilization():
     # the S1*-orbit of 7 has length 3, so early partial sums all vanish
     assert build_vn(S0, S1, 2).apply({7: 1}) == {}
     assert apply_v_limit(S0, S1, {7: 1}) == {8: _one()}
+
+
+@st.composite
+def cuntz_pairs(draw):
+    """S0 = u^a s, S1 = u^b s: ranges a + 2Z and b + 2Z partition Z iff a + b is odd."""
+    a = draw(st.integers(-16, 16))
+    b = draw(st.integers(-16, 16).filter(lambda b: (a + b) % 2))
+    return (MonomialIsometry.from_element(u(a) * s()),
+            MonomialIsometry.from_element(u(b) * s()))
+
+
+fractions = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+exact_values = st.one_of(st.integers(-3, 3), fractions,
+                         st.builds(RationalComplex, fractions, fractions))
+complex_values = st.complex_numbers(max_magnitude=8, allow_nan=False, allow_infinity=False)
+
+
+def orbit_length(S1, n):
+    """S1* steps from n until the orbit leaves im(S1) or sits at the fixed point."""
+    k = 0
+    while (m := S1.adjoint_index(n)) is not None and m != n:
+        n, k = m, k + 1
+    return k
+
+
+@settings(deadline=None)
+@given(cuntz_pairs(),
+       st.one_of(st.dictionaries(st.integers(-64, 64), exact_values, max_size=5),
+                 st.dictionaries(st.integers(-64, 64),
+                                 st.one_of(exact_values, complex_values), max_size=5)))
+def test_v_limit_matches_partial_sums_where_they_stabilize(pair, vec):
+    S0_, S1_ = pair
+    k = max((orbit_length(S1_, n) for n in vec), default=0)
+    limit = apply_v_limit(S0_, S1_, vec)
+    assert limit == build_vn(S0_, S1_, k).apply(vec) == build_vn(S0_, S1_, k + 1).apply(vec)
+
+
+def test_wold_runs_no_symbolic_partial_sums(monkeypatch):
+    calls = dict.fromkeys(("build_vn", "_check_cuntz"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(wold, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(wold, name, counted)
+    build_extension_unitary(S0, S1, 64)
+    assert calls == {"build_vn": 0, "_check_cuntz": 1}
+    calls.update(build_vn=0, _check_cuntz=0)
+    apply_v_limit(S0, S1, {n: 1 for n in range(-64, 65)})
+    assert calls == {"build_vn": 0, "_check_cuntz": 1}
 
 
 def test_norm_telescoping_exact():
