@@ -41,7 +41,6 @@ from .numbers import (
     dyadic,
 )
 
-TWO_PI = 2.0 * math.pi
 INNER_EPS = 1e-14
 CASE_OVERLAP_TOL = 1e-9
 
@@ -177,6 +176,13 @@ class BimoduleElement:
 # -- the algebra-valued inner product -------------------------------------------
 
 
+def _common_legs(xi1: GridFunction, xi2: GridFunction, shift_exp: int):
+    """xi1 and t -> xi2(2^shift_exp t), refined once to the grid on which
+    every shift of either branch is an exact reindex of the second leg."""
+    g = max(xi1.spacing_exp, xi2.spacing_exp + shift_exp, shift_exp, 0)
+    return xi1.to_grid(g), affine_reindex(xi2.to_grid(g - shift_exp), shift_exp, 0)
+
+
 def _case_small_left(key1, xi1, key2, xi2):
     """Branch m1 <= m2: coefficients <xi1, xi2((. + b) m1/m2)> over integral b."""
     (l1, k1e, m1e), (l2, k2e, m2e) = key1, key2
@@ -186,6 +192,7 @@ def _case_small_left(key1, xi1, key2, xi2):
     s2lo, s2hi = xi2.support()
     lo = math.floor(s2lo * 2.0 ** -shift_exp - s1hi) - 1
     hi = math.ceil(s2hi * 2.0 ** -shift_exp - s1lo) + 1
+    fine1, base2 = _common_legs(xi1, xi2, shift_exp)
     out = []
     for b in range(lo, hi + 1):
         mono = _compose_chain(_proj_monomial(l1, k1e), _shift_monomial(-b),
@@ -193,7 +200,8 @@ def _case_small_left(key1, xi1, key2, xi2):
                               _proj_monomial(l2, k2e))
         if mono is None:
             continue
-        val = weight * inner(xi1, affine_reindex(xi2, shift_exp, dyadic(b, -shift_exp)))
+        # xi2((t + b) m1/m2)
+        val = weight * inner(fine1, translate(base2, -b))
         if abs(val) > INNER_EPS:
             out.append((mono, val))
     return out
@@ -209,6 +217,7 @@ def _case_large_left(key1, xi1, key2, xi2):
     s2lo, s2hi = xi2.support()
     lo = math.floor(s2lo - s1hi * 2.0 ** shift_exp) - 1
     hi = math.ceil(s2hi - s1lo * 2.0 ** shift_exp) + 1
+    fine1, base2 = _common_legs(xi1, xi2, shift_exp)
     out = []
     for b in range(lo, hi + 1):
         mono = _compose_chain(_proj_monomial(l1, k1e),
@@ -216,7 +225,8 @@ def _case_large_left(key1, xi1, key2, xi2):
                               _shift_monomial(-b), _proj_monomial(l2, k2e))
         if mono is None:
             continue
-        val = weight * inner(xi1, affine_reindex(xi2, shift_exp, b))
+        # xi2(t m1/m2 + b)
+        val = weight * inner(fine1, translate(base2, dyadic(-b, shift_exp)))
         if abs(val) > INNER_EPS:
             out.append((mono, val))
     return out

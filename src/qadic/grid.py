@@ -4,8 +4,27 @@ A GridFunction stores complex samples at the points (start_index + k) * h
 with h = 2^-spacing_exp, so every sample point is a dyadic rational and the
 translation / dilation operators act by exact reindexing.  The continuous
 Fourier transform uses the e(tx) = exp(2*pi*i*t*x) convention throughout
-and is realized by an FFT with the phase and scale corrections that turn
+and is realized by DFTs with the phase and scale corrections that turn
 the DFT into a Riemann sum of the defining integral.
+
+The transform of n samples lives on a reciprocal grid of L = _fft_size(xi)
+points per period (L >= 4^g) but keeps only its significant band.  One
+coarse DFT of length P = min(L, next_pow2(2n)) gives every (L/P)-th output
+point; P >= 2n because at P = n the coarse points of an n-sample indicator
+fall on the zeros of its Dirichlet kernel and hide its sidelobes.  The band
+is the hull of the coarse points above the FFT roundoff bound
+
+    eps * log2(P) * sqrt(P) * ||x||_2     (in units of sum_k x_k e(...)),
+
+widened by _BAND_MARGIN coarse cells on each side.  Its points are computed
+exactly (Bluestein chirp-z, or one length-L FFT when the band is nearly the
+whole period); all others are dropped as zero.  Error bound: every dropped
+coarse point is below h times the bound, the error an FFT over the whole
+period already makes at each point; dropped points between coarse points
+obey it for spectra that decay beyond the band.  The margin puts the cut
+where such tails have fallen further, so that the step it leaves does not
+widen the band of a later transform.  Spectra that do not decay
+(indicators) keep the whole period.
 
 Grid refinement follows a per-function style flag: "step" functions refine
 by sample duplication (exact for indicators with grid-aligned breakpoints),
@@ -21,9 +40,8 @@ import numpy as np
 
 from .numbers import DyadicRational, PowerOfTwo, as_dyadic
 
-TOL_FFT = 1e-8
-TWO_PI = 2.0 * math.pi
 _TAIL_CUTOFF = 1e-16
+_BAND_MARGIN = 3  # coarse cells kept beyond the significant band on each side
 
 
 def _next_pow2(n: int) -> int:
@@ -284,20 +302,60 @@ def fourier_inv(xi: GridFunction) -> GridFunction:
     return _fourier(xi, -1)
 
 
+def _dft(x: np.ndarray, size: int, sign: int) -> np.ndarray:
+    """sum_k x_k e(sign j k / size) for j in [0, size), x zero-padded."""
+    return np.fft.ifft(x, size) * size if sign > 0 else np.fft.fft(x, size)
+
+
+def _band(coarse: np.ndarray, size: int) -> tuple[int, int]:
+    """Output indices [lo, hi) of the significant band (see the module notes),
+    clipped to [-size/2, size/2); coarse[r] is the DFT at output index
+    r * size / len(coarse)."""
+    count = len(coarse)
+    # ||coarse||_2 = sqrt(count) ||x||_2 by Parseval
+    floor = np.finfo(float).eps * math.log2(count) * np.linalg.norm(coarse)
+    keep = np.nonzero(np.abs(coarse) > floor)[0]
+    centred = (keep + count // 2) % count - count // 2
+    step = size // count
+    lo = max(-size // 2, (int(centred.min()) - _BAND_MARGIN) * step)
+    hi = min(size // 2, (int(centred.max()) + _BAND_MARGIN) * step + 1)
+    return lo, hi
+
+
+def _chirp_z(x: np.ndarray, size: int, lo: int, m: int, sign: int) -> np.ndarray:
+    """sum_k x_k e(sign (lo + q) k / size) for q in [0, m), by Bluestein's algorithm.
+
+    With 2qk = q^2 + k^2 - (q - k)^2 the sum is a convolution with a chirp,
+    done with three FFTs of length next_pow2(n + m - 1).  The exponents are
+    reduced exactly in integers before the exponential.
+    """
+    n = len(x)
+    nfft = _next_pow2(n + m - 1)
+    k = np.arange(max(n, m), dtype=np.int64)
+    chirp = np.exp(sign * 1j * np.pi * ((k * k) % (2 * size)) / size)
+    a = x * chirp[:n] * np.exp(sign * 2j * np.pi * ((lo * k[:n]) % size) / size)
+    b = np.zeros(nfft, dtype=complex)
+    b[:m] = chirp[:m].conj()
+    b[nfft - n + 1:] = chirp[1:n][::-1].conj()
+    return np.fft.ifft(np.fft.fft(a, nfft) * np.fft.fft(b))[:m] * chirp[:m]
+
+
 def _fourier(xi: GridFunction, sign: int) -> GridFunction:
     if xi.is_zero():
         return GridFunction(0, 0, [], "smooth")
-    size = _fft_size(xi)
-    buf = np.zeros(size, dtype=complex)
-    buf[:len(xi.samples)] = xi.samples
-    if sign > 0:
-        spec = np.fft.ifft(buf) * size
+    x, size = xi.samples, _fft_size(xi)
+    coarse = _dft(x, min(size, _next_pow2(2 * len(x))), sign)
+    lo, hi = _band(coarse, size)
+    j = np.arange(lo, hi, dtype=np.int64)
+    if len(coarse) == size:
+        vals = coarse[j % size]
+    elif 4 * _next_pow2(len(x) + hi - lo - 1) <= size:
+        vals = _chirp_z(x, size, lo, hi - lo, sign)
     else:
-        spec = np.fft.fft(buf)
-    j = np.arange(-size // 2, size // 2)
-    vals = xi.h * np.exp(sign * 2j * np.pi * j * xi.start_index / size) * spec[j % size]
+        vals = _dft(x, size, sign)[j % size]
+    vals *= xi.h * np.exp(sign * 2j * np.pi * ((j * (xi.start_index % size)) % size) / size)
     out_exp = size.bit_length() - 1 - xi.spacing_exp
-    return GridFunction(out_exp, -size // 2, vals, "smooth")
+    return GridFunction(out_exp, lo, vals, "smooth")
 
 
 # -- the phase-twisted correlation and its intertwining check ------------------------
@@ -308,7 +366,8 @@ def twisted_correlation(f, d: DyadicRational | int, c: PowerOfTwo,
     """The function t -> e(t d / c) * integral e(s d) fcheck(s) xi(t + s c) ds.
 
     The integral is truncated to the support of fcheck and evaluated as a
-    Riemann sum whose nodes land exactly on a refinement of xi's grid.
+    Riemann sum whose nodes land exactly on a refinement of xi's grid; all
+    output points come from one FFT convolution.
     """
     d = as_dyadic(d)
     e = c.exponent
@@ -325,21 +384,15 @@ def twisted_correlation(f, d: DyadicRational | int, c: PowerOfTwo,
     weights = delta * np.asarray(f.fcheck_values(s_vals), dtype=complex) \
         * np.exp(2j * np.pi * float(d) * s_vals)
 
+    # out[k] = sum_m weights[m] * lookup(k * stride + m): one full convolution
+    # with the reversed weights, read at every stride-th position
     src_lo, src_hi = lookup.start_index, lookup.start_index + len(lookup) - 1
     k_lo = math.ceil((src_lo - m_hi) / stride)
     k_hi = math.floor((src_hi - m_lo) / stride)
-    out = np.zeros(k_hi - k_lo + 1, dtype=complex)
-    for mi, m in enumerate(range(m_lo, m_hi + 1)):
-        w = weights[mi]
-        if abs(w) < _TAIL_CUTOFF:
-            continue
-        # positions k*stride + m for k in [k_lo, k_hi], clipped to the source
-        k0 = max(k_lo, math.ceil((src_lo - m) / stride))
-        k1 = min(k_hi, math.floor((src_hi - m) / stride))
-        if k1 < k0:
-            continue
-        pos = k0 * stride + m - lookup.start_index
-        out[k0 - k_lo:k1 - k_lo + 1] += w * lookup.samples[pos:pos + (k1 - k0) * stride + 1:stride]
+    size = _next_pow2(len(lookup) + len(weights) - 1)
+    conv = np.fft.ifft(np.fft.fft(lookup.samples, size) * np.fft.fft(weights[::-1], size))
+    first = k_lo * stride + m_hi - src_lo
+    out = conv[first:first + (k_hi - k_lo) * stride + 1:stride]
     t = (k_lo + np.arange(len(out))) * 2.0 ** (-g)
     out *= np.exp(2j * np.pi * t * float(d) * 2.0 ** (-e))
     return GridFunction(g, k_lo, out, "smooth")

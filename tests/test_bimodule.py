@@ -7,6 +7,7 @@ import pytest
 
 from qadic.algebra import one, projection, s, s_adj, u
 from qadic.bimodule import (
+    INNER_EPS,
     BimoduleElement,
     InducedVector,
     _case_large_left,
@@ -24,6 +25,7 @@ from qadic.grid import (
     BumpSymbol,
     GaussianSymbol,
     TabulatedFourierPair,
+    affine_reindex,
     fourier_inv,
     indicator,
     inner,
@@ -164,6 +166,24 @@ def test_inner_branch_overlap_consistency():
     assert small.keys() == large.keys()
     for m in small:
         assert small[m] == pytest.approx(large[m], abs=1e-12)
+
+
+@pytest.mark.parametrize("m1e,m2e", [(-2, 0), (-1, 1), (0, 0), (1, -1), (2, 0)])
+def test_inner_branches_equal_per_shift_reindexing(m1e, m2e):
+    # reference: every shift b reindexes xi2 afresh and inner() refines both
+    # legs; the branches refine once per pair, which must not change a digit
+    xi1 = unit_bump(1, 5)
+    xi2 = sample_symbol(GaussianSymbol(-0.1, 0.4), G + 1, -2.0, 3.0)
+    shift_exp = m1e - m2e
+    branch = _case_small_left if shift_exp <= 0 else _case_large_left
+    got = branch((0, 0, m1e), xi1, (0, 0, m2e), xi2)
+    ref = []
+    for b in range(-40, 41):
+        shift = dyadic(b, -shift_exp) if shift_exp <= 0 else b
+        val = 2.0 ** m1e * inner(xi1, affine_reindex(xi2, shift_exp, shift))
+        if abs(val) > INNER_EPS:
+            ref.append(val)
+    assert [val for _, val in got] == ref
 
 
 def test_module_axiom_right_linearity():

@@ -4,6 +4,8 @@ import random
 import numpy as np
 import pytest
 
+from qadic import grid
+from qadic.cli import RunConfig, default_cases, run_duality_cases
 from qadic.grid import (
     BumpSymbol,
     GaussianSymbol,
@@ -174,6 +176,66 @@ def test_fourier_translation_modulation():
     assert norm(lhs - rhs) <= 1e-7 * norm(xi)
 
 
+def _direct_fourier(xi, ft, j, sign):
+    """The Riemann sum h * sum_k e(sign t_j x_k) xi(x_k) at the points t_j of
+    ft's grid, with t_j x_k = j (start + k) / period reduced in integers."""
+    period = 1 << (ft.spacing_exp + xi.spacing_exp)
+    idx = xi.start_index + np.arange(len(xi), dtype=np.int64)
+    return np.array([xi.h * np.sum(np.exp(sign * 2j * np.pi * ((jj * idx) % period) / period)
+                                   * xi.samples) for jj in j])
+
+
+FOURIER_ORACLE_INPUTS = {
+    "centred gaussian": sample_symbol(GaussianSymbol(), 6, -WINDOW, WINDOW),
+    "wide gaussian": sample_symbol(GaussianSymbol(0.0, 4.0), 6, -WINDOW, WINDOW),
+    "off-centre gaussian": sample_symbol(GaussianSymbol(100.0, 0.8), 6, 95, 105),
+    "gaussian near nyquist": sample_symbol(GaussianSymbol(0.0, 1.0, 27), 6, -8, 8),
+    "gaussian across nyquist": sample_symbol(GaussianSymbol(0.0, 1.0, 32), 6, -8, 8),
+    "indicator": indicator(6, dyadic(-1, 1), 1),
+    "indicator of 2^6 samples": indicator(6, 0, 1),
+}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("name", list(FOURIER_ORACLE_INPUTS))
+def test_fourier_matches_direct_sum_in_and_outside_the_band(name, sign):
+    xi = FOURIER_ORACLE_INPUTS[name]
+    ft = fourier(xi) if sign > 0 else fourier_inv(xi)
+    scale = xi.h * np.sum(np.abs(xi.samples))
+    period = 1 << (ft.spacing_exp + xi.spacing_exp)
+    kept = np.arange(ft.start_index, ft.start_index + len(ft))
+    assert np.max(np.abs(_direct_fourier(xi, ft, kept, sign) - ft.samples)) <= 1e-13 * scale
+    # every point of the period outside the kept band is below the roundoff bound
+    dropped = np.setdiff1d(np.arange(-period // 2, period // 2), kept)
+    coarse = 2 * len(xi)
+    bound = xi.h * np.finfo(float).eps * math.log2(coarse) * math.sqrt(coarse) \
+        * np.linalg.norm(xi.samples)
+    if len(dropped):
+        assert np.max(np.abs(_direct_fourier(xi, ft, dropped, sign))) <= bound
+    if name in ("indicator", "indicator of 2^6 samples", "gaussian across nyquist"):
+        assert len(ft) >= period - 1          # no decay: the whole period is kept
+    else:
+        assert len(ft) <= period // 4
+
+
+def test_fourier_output_is_band_limited():
+    assert len(fourier(sample_symbol(GaussianSymbol(), 10, -16, 16))) < 2 ** 16
+
+
+def test_default_duality_transforms_are_band_limited(monkeypatch):
+    sizes = []
+    for name in ("fourier", "fourier_inv"):
+        def counted(xi, _inner=getattr(grid, name)):
+            out = _inner(xi)
+            sizes.append(len(out))
+            return out
+        monkeypatch.setattr(grid, name, counted)
+    report = run_duality_cases(default_cases(), RunConfig(grid_exp=10))
+    assert report["pass"]
+    assert len(sizes) == 2 * len(default_cases())
+    assert max(sizes) < 2 ** 16
+
+
 # -- inner products --------------------------------------------------------------------
 
 
@@ -249,6 +311,41 @@ def test_correlation_linear():
     lhs = twisted_correlation(f, d, c, xi1 + xi2)
     rhs = twisted_correlation(f, d, c, xi1) + twisted_correlation(f, d, c, xi2)
     assert norm(lhs - rhs) <= 1e-10 * (norm(xi1) + norm(xi2))
+
+
+def _correlation_direct_sum(f, d, c, xi):
+    """Each output point t_k as the Riemann sum
+    e(t_k d / c) * sum_m delta e(s_m d) fcheck(s_m) xi(t_k + s_m c),
+    with the nodes and the lookup grid of twisted_correlation."""
+    e, g = c.exponent, xi.spacing_exp
+    lookup = xi.to_grid(g + max(0, -e))
+    stride = 1 << (lookup.spacing_exp - g)
+    delta = 2.0 ** -(g + max(0, e))
+    slo, shi = f.fcheck_support()
+    m = np.arange(math.ceil(slo / delta), math.floor(shi / delta) + 1)
+    weights = delta * f.fcheck_values(m * delta) * np.exp(2j * np.pi * float(d) * m * delta)
+    k_lo = math.ceil((lookup.start_index - m[-1]) / stride)
+    k_hi = math.floor((lookup.start_index + len(lookup) - 1 - m[0]) / stride)
+    out = []
+    for k in range(k_lo, k_hi + 1):
+        pos = k * stride + m - lookup.start_index
+        ok = (pos >= 0) & (pos < len(lookup))
+        t = k * 2.0 ** -g
+        out.append(np.exp(2j * np.pi * t * float(d) * 2.0 ** -e)
+                   * np.sum(weights[ok] * lookup.samples[pos[ok]]))
+    return k_lo, np.array(out), np.sum(np.abs(weights)) * np.max(np.abs(lookup.samples))
+
+
+@pytest.mark.parametrize("c", [PowerOfTwo(-1), PowerOfTwo(0), PowerOfTwo(1)])
+@pytest.mark.parametrize("d", [dyadic(0), dyadic(3, 1)])
+def test_correlation_matches_direct_sum(d, c):
+    f = BumpSymbol(0.25, 1.0)
+    xi = gaussian(0.25, 0.8, g=5)
+    out = twisted_correlation(f, d, c, xi)
+    k_lo, direct, scale = _correlation_direct_sum(f, d, c, xi)
+    assert out.spacing_exp == xi.spacing_exp
+    got = grid_sample(out, (k_lo + np.arange(len(direct))) * out.h)
+    assert np.max(np.abs(got - direct)) <= 1e-13 * scale
 
 
 INTERTWINING_CASES = [
