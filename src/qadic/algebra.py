@@ -41,6 +41,8 @@ class RationalComplex:
         return RationalComplex(-self.re, -self.im)
 
     def __mul__(self, other):
+        if not (self.im or other.im):
+            return RationalComplex(self.re * other.re)
         return RationalComplex(self.re * other.re - self.im * other.im,
                                self.re * other.im + self.im * other.re)
 
@@ -78,6 +80,26 @@ def _coerce(c):
     if isinstance(c, (float, complex)):
         return complex(c), False
     raise TypeError(f"unsupported coefficient {c!r}")
+
+
+def _exact_coeff(c) -> RationalComplex:
+    """A coefficient of an exact element; rationals are promoted, floats refused."""
+    c, exact = _coerce(c)
+    if not exact:
+        raise TypeError(f"exact elements need rational coefficients, got {c!r}")
+    return c
+
+
+def _power(base, n: int, one, mul):
+    """base^n by repeated squaring: about 2 log2(n) products."""
+    out = one
+    while n:
+        if n & 1:
+            out = mul(out, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return out
 
 
 @dataclass(frozen=True, order=True)
@@ -224,7 +246,29 @@ class Element:
     @classmethod
     def monomial(cls, m: Monomial, coeff=1):
         c, exact = _coerce(coeff)
-        return cls({m: c}, exact)
+        return cls._single(m, c, exact)
+
+    @classmethod
+    def _single(cls, m: Monomial | None, c, exact: bool) -> "Element":
+        """c m, or zero when m is None or c is small; one term is canonical."""
+        e = cls({}, exact, _normalized=True)
+        if m is not None and not e._is_small(c):
+            e.terms[m] = c
+        return e
+
+    @classmethod
+    def sum(cls, elements) -> "Element":
+        """Merge the terms of all elements, then normalize once."""
+        elements = list(elements)
+        exact = all(e.exact for e in elements)
+        out = {}
+        for e in elements:
+            promote = e.exact and not exact
+            for m, c in e.terms.items():
+                if promote:
+                    c = complex(c)
+                out[m] = out[m] + c if m in out else c
+        return cls(out, exact)
 
     @classmethod
     def from_word(cls, a: int, i: int, j: int, b: int, coeff=1):
@@ -243,7 +287,10 @@ class Element:
         return c1 == c2 if self.exact else abs(c1 - c2) <= NUMERIC_EPS
 
     def _normalize(self):
-        terms = {m: c for m, c in self.terms.items() if not self._is_small(c)}
+        items = self.terms.items()
+        if self.exact:
+            items = [(m, _exact_coeff(c)) for m, c in items]
+        terms = {m: c for m, c in items if not self._is_small(c)}
         changed = True
         while changed:
             changed = False
@@ -279,11 +326,7 @@ class Element:
     def __add__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        t1, t2, exact = self._promote(other)
-        out = dict(t1)
-        for m, c in t2.items():
-            out[m] = out[m] + c if m in out else c
-        return Element(out, exact)
+        return Element.sum((self, other))
 
     def __sub__(self, other):
         return self + (-other)
@@ -295,6 +338,10 @@ class Element:
         if not isinstance(other, Element):
             return self.scale(other)
         t1, t2, exact = self._promote(other)
+        if len(t1) == 1 and len(t2) == 1:
+            (ma, ca), = t1.items()
+            (mb, cb), = t2.items()
+            return Element._single(compose(ma, mb), ca * cb, exact)
         out = {}
         for ma, ca in t1.items():
             for mb, cb in t2.items():
@@ -325,6 +372,10 @@ class Element:
     def power(self, n: int) -> "Element":
         if n < 0:
             raise ValueError("negative powers are not defined on general elements")
+        if len(self.terms) <= 1:
+            return _power(self, n, Element.one(), Element.__mul__)
+        # the representative of a multi-term product depends on the order of
+        # multiplication, so keep the left-to-right product
         out = Element.one()
         for _ in range(n):
             out = out * self
@@ -420,19 +471,28 @@ class Element:
     __repr__ = __str__
 
     def to_json_dict(self) -> dict:
-        return {"terms": [
-            {"j": m.dom_level, "r": m.dom_residue, "i": m.range_level, "m0": m.base_image,
-             "re": float(c.re) if self.exact else c.real,
-             "im": float(c.im) if self.exact else c.imag}
-            for m, c in self.terms.items()]}
+        """Terms with float parts `re`/`im`; exact elements add the exact
+        strings `q_re`/`q_im` that `from_json_dict` reads back."""
+        terms = []
+        for m, c in self.terms.items():
+            t = {"j": m.dom_level, "r": m.dom_residue, "i": m.range_level, "m0": m.base_image}
+            if self.exact:
+                t.update(re=float(c.re), im=float(c.im),
+                         q_re=_frac_str(c.re), q_im=_frac_str(c.im))
+            else:
+                t.update(re=c.real, im=c.imag)
+            terms.append(t)
+        return {"exact": self.exact, "terms": terms}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Element":
+        exact = data.get("exact", False)
         terms = {}
         for t in data["terms"]:
             m = Monomial(t["j"], t["r"], t["i"], t["m0"])
-            terms[m] = complex(t["re"], t["im"])
-        return cls(terms, exact=False)
+            terms[m] = (RationalComplex(Fraction(t["q_re"]), Fraction(t["q_im"])) if exact
+                        else complex(t["re"], t["im"]))
+        return cls(terms, exact)
 
 
 def _coeff_str(c, exact: bool) -> tuple[str, bool]:
@@ -521,10 +581,7 @@ _EMBED_S = [[s(), u() * s()], [Element.zero(), Element.zero()]]
 
 
 def _mat_pow(A, n):
-    out = mat_identity()
-    for _ in range(n):
-        out = mat_mul(out, A)
-    return out
+    return _power(A, n, mat_identity(), mat_mul)
 
 
 def embed_2x2(e: Element):

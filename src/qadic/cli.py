@@ -124,15 +124,16 @@ class _Parser:
         return e
 
     def expr(self) -> Element:
-        sign = 1
-        if self.peek()[0] in ("plus", "minus"):
-            sign = -1 if self.advance()[0] == "minus" else 1
-        total = self.term().scale(sign)
-        while self.peek()[0] in ("plus", "minus"):
-            op = self.advance()[0]
+        op = self.advance()[0] if self.peek()[0] in ("plus", "minus") else "plus"
+        terms = []
+        while True:
             t = self.term()
-            total = total + (t if op == "plus" else -t)
-        return total
+            terms.append(-t if op == "minus" else t)
+            if self.peek()[0] not in ("plus", "minus"):
+                break
+            op = self.advance()[0]
+        # one merge of all terms: folding `+` would normalize after each term
+        return terms[0] if len(terms) == 1 else Element.sum(terms)
 
     _FACTOR_START = ("int", "name", "lparen")
 

@@ -33,6 +33,10 @@ class UnresolvedConvention(QadicError):
     """The two inner-product branches disagree on their overlap."""
 
 
+class MemoryBudgetExceeded(QadicError):
+    """A computation would allocate more than its fixed memory budget."""
+
+
 class ParseError(QadicError):
     """Malformed expression source.
 

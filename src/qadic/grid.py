@@ -24,7 +24,9 @@ period already makes at each point; dropped points between coarse points
 obey it for spectra that decay beyond the band.  The margin puts the cut
 where such tails have fallen further, so that the step it leaves does not
 widen the band of a later transform.  Spectra that do not decay
-(indicators) keep the whole period.
+(indicators) keep the whole period; that plain length-L path refuses
+L > MAX_PLAIN_FFT with MemoryBudgetExceeded before allocating anything of
+length L.
 
 Grid refinement follows a per-function style flag: "step" functions refine
 by sample duplication (exact for indicators with grid-aligned breakpoints),
@@ -38,10 +40,14 @@ import math
 
 import numpy as np
 
+from .errors import MemoryBudgetExceeded
 from .numbers import DyadicRational, PowerOfTwo, as_dyadic
 
 _TAIL_CUTOFF = 1e-16
 _BAND_MARGIN = 3  # coarse cells kept beyond the significant band on each side
+# longest transform over a whole period (2^24 points: 256 MiB per complex
+# array); g = 12 without dilation reaches it, spacing 2^-13 exceeds it
+MAX_PLAIN_FFT = 1 << 24
 
 
 def _next_pow2(n: int) -> int:
@@ -307,6 +313,14 @@ def _dft(x: np.ndarray, size: int, sign: int) -> np.ndarray:
     return np.fft.ifft(x, size) * size if sign > 0 else np.fft.fft(x, size)
 
 
+def _plain_dft(x: np.ndarray, size: int, sign: int) -> np.ndarray:
+    """_dft over the whole period, refused beyond MAX_PLAIN_FFT points."""
+    if size > MAX_PLAIN_FFT:
+        raise MemoryBudgetExceeded(
+            f"a {size}-point Fourier transform exceeds the budget of {MAX_PLAIN_FFT} points")
+    return _dft(x, size, sign)
+
+
 def _band(coarse: np.ndarray, size: int) -> tuple[int, int]:
     """Output indices [lo, hi) of the significant band (see the module notes),
     clipped to [-size/2, size/2); coarse[r] is the DFT at output index
@@ -344,15 +358,17 @@ def _fourier(xi: GridFunction, sign: int) -> GridFunction:
     if xi.is_zero():
         return GridFunction(0, 0, [], "smooth")
     x, size = xi.samples, _fft_size(xi)
-    coarse = _dft(x, min(size, _next_pow2(2 * len(x))), sign)
+    count = min(size, _next_pow2(2 * len(x)))
+    coarse = (_plain_dft if count == size else _dft)(x, count, sign)
     lo, hi = _band(coarse, size)
-    j = np.arange(lo, hi, dtype=np.int64)
     if len(coarse) == size:
-        vals = coarse[j % size]
-    elif 4 * _next_pow2(len(x) + hi - lo - 1) <= size:
-        vals = _chirp_z(x, size, lo, hi - lo, sign)
+        full = coarse
+    elif 4 * _next_pow2(len(x) + hi - lo - 1) > size:
+        full = _plain_dft(x, size, sign)
     else:
-        vals = _dft(x, size, sign)[j % size]
+        full = None
+    j = np.arange(lo, hi, dtype=np.int64)
+    vals = _chirp_z(x, size, lo, hi - lo, sign) if full is None else full[j % size]
     vals *= xi.h * np.exp(sign * 2j * np.pi * ((j * (xi.start_index % size)) % size) / size)
     out_exp = size.bit_length() - 1 - xi.spacing_exp
     return GridFunction(out_exp, lo, vals, "smooth")

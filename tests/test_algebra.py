@@ -1,9 +1,16 @@
+import functools
+import json
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qadic import algebra
 from qadic.algebra import (
+    IDENTITY,
     Element,
     Monomial,
     RationalComplex,
@@ -327,6 +334,19 @@ def test_embed_star_homomorphism_samples():
                 assert star[r][c].equals(adj[r][c])
 
 
+def test_embed_large_exponent_by_squaring(monkeypatch):
+    products = []
+    mul = algebra.mat_mul
+    monkeypatch.setattr(algebra, "mat_mul", lambda A, B: products.append(1) or mul(A, B))
+    M = embed_2x2(u(1000))  # [[0, u], [1, 0]]^1000 = u^500 on the diagonal
+    assert M[0][0].equals(u(500)) and M[1][1].equals(u(500))
+    assert M[0][1].is_zero() and M[1][0].is_zero()
+    M = embed_2x2(u(-999))
+    assert M[0][1].equals(u(-499)) and M[1][0].equals(u(-500))
+    assert M[0][0].is_zero() and M[1][1].is_zero()
+    assert len(products) <= 64
+
+
 def test_embed_unital():
     M = embed_2x2(one())
     assert M[0][0].equals(one()) and M[1][1].equals(one())
@@ -364,6 +384,13 @@ def test_numeric_promotion_and_zero_threshold():
     assert (u().scale(1.0 + 1e-15) - u()).is_zero()
 
 
+def test_numeric_product_underflows_to_zero():
+    small = u().scale(1e-7)
+    assert (small * small).is_zero()
+    assert not (small * small).exact
+    assert small.power(2).is_zero()
+
+
 def test_approx_equals():
     assert (s() * u()).scale(1.0).approx_equals((u() * u() * s()).scale(1.0 + 1e-12))
     with pytest.raises(ValueError):
@@ -386,3 +413,43 @@ def test_json_round_trip():
     e = (s() * u()).scale(0.25) + u(-2).scale(1j)
     back = Element.from_json_dict(e.to_json_dict())
     assert back.approx_equals(e, tol=1e-12)
+
+
+def test_exact_json_round_trip():
+    c = RationalComplex(Fraction(1, 3), Fraction(5, 4))
+    e = (s() * u()).scale(c) + u(-2).scale(Fraction(-7, 2))
+    data = json.loads(json.dumps(e.to_json_dict()))
+    assert data["exact"] is True
+    assert sorted((t["q_re"], t["q_im"], t["re"], t["im"]) for t in data["terms"]) == [
+        ("-7/2", "0", -3.5, 0.0), ("1/3", "5/4", 1 / 3, 1.25)]
+    back = Element.from_json_dict(data)
+    assert back.exact and back == e
+
+
+# -- construction ----------------------------------------------------------------------
+
+
+def test_raw_rational_coefficients_are_coerced():
+    assert Element({IDENTITY: 1}) == one()
+    half = Element({IDENTITY: Fraction(1, 2), Monomial(0, 0, 0, 1): 0})
+    assert half == one().scale(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("coeff", [0.5, 1j])
+def test_float_coefficient_in_exact_element_raises(coeff):
+    with pytest.raises(TypeError):
+        Element({IDENTITY: coeff})
+
+
+words = st.lists(st.sampled_from("uUsS"), min_size=0, max_size=4).map(
+    lambda letters: functools.reduce(operator.mul, (GENERATORS[x] for x in letters), one()))
+rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+coeffs = st.builds(RationalComplex, rationals, rationals).filter(lambda c: not c.is_zero())
+one_term = st.builds(Element.scale, words, coeffs)
+multi_term = st.lists(one_term, min_size=2, max_size=3).map(Element.sum)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(one_term, multi_term), st.integers(0, 8))
+def test_power_equals_repeated_product(e, n):
+    assert e.power(n).equals(functools.reduce(operator.mul, [e] * n, one()))

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qadic import algebra
 from qadic.algebra import RationalComplex, one, projection, s, s_adj, u, zero
 from qadic.cli import (
     RunConfig,
@@ -96,6 +99,38 @@ def test_parser_round_trip_random():
         assert back == e
 
 
+word_src = st.lists(st.sampled_from(["u", "u^-1", "s", "s*", "u^3", "s^2"]),
+                    min_size=1, max_size=4).map(" ".join)
+term_src = st.tuples(st.sampled_from(["+", "-"]), st.sampled_from(["", "2 ", "1/2 ", "3/4 "]),
+                     word_src)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(term_src, min_size=1, max_size=6))
+def test_parsed_sum_equals_folded_sum(terms):
+    src = " ".join(f"{sign} {coeff}{word}" for sign, coeff, word in terms)
+    folded = zero()
+    for sign, coeff, word in terms:
+        t = parse_expr(coeff + word)
+        folded = folded + t if sign == "+" else folded - t
+    assert parse_expr(src).equals(folded)
+
+
+def test_sum_form_does_not_depend_on_term_order():
+    forward = "s^2 s*^2 + u^2 s^2 s*^2 u^-2 + s s* + u s s* u^-1"
+    backward = "u s s* u^-1 + s s* + u^2 s^2 s*^2 u^-2 + s^2 s*^2"
+    assert str(parse_expr(forward)) == str(parse_expr(backward)) == "1 + s s*"
+
+
+def test_large_power_parses_in_logarithmic_products(monkeypatch):
+    calls = []
+    compose = algebra.compose
+    monkeypatch.setattr(algebra, "compose", lambda a, b: calls.append(1) or compose(a, b))
+    assert parse_expr("u^200000 s u^-7") == parse_expr("s u^99993")
+    assert parse_expr("(s* u s)^1000000").is_zero()
+    assert len(calls) <= 64
+
+
 # -- configuration ----------------------------------------------------------------
 
 
@@ -140,7 +175,8 @@ def test_cmd_normalize(capsys):
 def test_cmd_normalize_json(capsys):
     assert main(["--format", "json", "normalize", "u"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data == {"terms": [{"j": 0, "r": 0, "i": 0, "m0": 1, "re": 1.0, "im": 0.0}]}
+    assert data == {"exact": True, "terms": [{"j": 0, "r": 0, "i": 0, "m0": 1, "re": 1.0,
+                                              "im": 0.0, "q_re": "1", "q_im": "0"}]}
 
 
 def test_cmd_apply(capsys):
@@ -234,6 +270,19 @@ def test_cmd_duality_custom_cases(tmp_path, capsys):
     path.write_text(json.dumps(cases))
     assert main(["duality", "--cases", str(path)]) == 0
     capsys.readouterr()
+
+
+def test_cmd_duality_memory_budget_exit(tmp_path, capsys):
+    # an indicator at spacing 2^-13 needs a 2^26-point transform over the whole period
+    cases = [{
+        "f": {"kind": "bump", "center": 0.0, "radius": 1.0},
+        "d": "0", "c": "1",
+        "xi": {"kind": "indicator", "lo": "0", "hi": "1/2^13"},
+    }]
+    path = tmp_path / "cases.json"
+    path.write_text(json.dumps(cases))
+    assert main(["duality", "--cases", str(path)]) == 3
+    assert "MemoryBudgetExceeded" in capsys.readouterr().err
 
 
 def test_report_deterministic(tmp_path, capsys):

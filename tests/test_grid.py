@@ -6,6 +6,7 @@ import pytest
 
 from qadic import grid
 from qadic.cli import RunConfig, default_cases, run_duality_cases
+from qadic.errors import MemoryBudgetExceeded
 from qadic.grid import (
     BumpSymbol,
     GaussianSymbol,
@@ -236,6 +237,18 @@ def test_default_duality_transforms_are_band_limited(monkeypatch):
     assert max(sizes) < 2 ** 16
 
 
+def test_plain_transform_beyond_budget_raises_before_allocating(monkeypatch):
+    sizes = []
+    dft = grid._dft
+    monkeypatch.setattr(grid, "_dft",
+                        lambda x, size, sign: sizes.append(size) or dft(x, size, sign))
+    xi = indicator(13, 0, 1)  # spacing 2^-13: a period of 2^26 points, no decay
+    assert grid._fft_size(xi) > grid.MAX_PLAIN_FFT
+    with pytest.raises(MemoryBudgetExceeded):
+        fourier(xi)
+    assert sizes and max(sizes) <= 4 * len(xi)
+
+
 # -- inner products --------------------------------------------------------------------
 
 
@@ -452,3 +465,4 @@ def test_csv_rejects_bad_spacing(tmp_path):
     path.write_text("x,re,im\n0.0,1.0,0.0\n0.3,1.0,0.0\n")
     with pytest.raises(ValueError):
         import_csv(path)
+
