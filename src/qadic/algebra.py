@@ -8,7 +8,7 @@ Every word u^a s^i s*^j u^b acts on basis vectors as a partial affine map
 so monomials are stored as the tuple (dom_level j, dom_residue r,
 range_level i, base_image m0).  Operator products become compositions of
 partial affine maps, the defining relations of the algebra become theorems
-instead of rewrite rules, and equality of canonical forms is decidable.
+instead of rewrite rules, and equal operators have equal normal forms.
 
 Elements are finite linear combinations of monomials.  Coefficients are
 either exact Gaussian rationals or complex doubles; mixed arithmetic
@@ -20,8 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import MemoryBudgetExceeded
+
 NUMERIC_EPS = 1e-12
 APPROX_EQ_TOL = 1e-9
+MAX_NORMAL_FORM_NODES = 1 << 14  # trie nodes one normalization may split
 
 
 @dataclass(frozen=True)
@@ -160,17 +163,6 @@ class Monomial:
         return (Monomial(j + 1, r, i + 1, m0),
                 Monomial(j + 1, r + (1 << j), i + 1, m0 + (1 << i)))
 
-    def parent_sibling(self) -> tuple["Monomial", "Monomial"] | None:
-        """Parent map on the doubled class and the other child, if any."""
-        j, r, i, m0 = self.dom_level, self.dom_residue, self.range_level, self.base_image
-        if j == 0 or i == 0:
-            return None
-        half, ihalf = 1 << (j - 1), 1 << (i - 1)
-        if r < half:
-            return Monomial(j - 1, r, i - 1, m0), Monomial(j, r + half, i, m0 + ihalf)
-        return (Monomial(j - 1, r - half, i - 1, m0 - ihalf),
-                Monomial(j, r - half, i, m0 - ihalf))
-
     def __str__(self):
         return word_str(*self.word())
 
@@ -216,12 +208,17 @@ def compose(m1: Monomial, m2: Monomial) -> Monomial | None:
 
 
 class Element:
-    """Finite linear combination of monomials in canonical form.
+    """Finite linear combination of monomials in its unique normal form.
 
-    The canonical form has no zero coefficients, no two sibling terms with
-    the same parent map and equal coefficients (those merge into the
-    parent), and deterministic term order.  Equality of canonical forms is
-    equality of the represented operators.
+    Monomials that restrict the same global affine map x -> 2^(i-j) x + c
+    (one affine germ) form a binary trie: each node's two children are its
+    restrictions to the two halves of its domain class.  Per germ, the
+    normal form keeps the coarsest partition of the domain into such
+    classes on which the coefficient is constant (the maximal constant
+    nodes), drops zero coefficients and sorts the terms.  So `==` on exact
+    elements is equality of the represented operators.  A normalization
+    that would visit more than MAX_NORMAL_FORM_NODES trie nodes raises
+    MemoryBudgetExceeded (the unique form of 1 + s^K s*^K has K + 1 terms).
     """
 
     __slots__ = ("terms", "exact")
@@ -290,27 +287,51 @@ class Element:
         items = self.terms.items()
         if self.exact:
             items = [(m, _exact_coeff(c)) for m, c in items]
-        terms = {m: c for m, c in items if not self._is_small(c)}
-        changed = True
-        while changed:
-            changed = False
-            for m in sorted(terms):
-                if m not in terms or m.dom_level == 0 or m.range_level == 0:
-                    continue
-                parent, sibling = m.parent_sibling()
-                cs = terms.get(sibling)
-                if cs is None or not self._coeffs_equal(terms[m], cs):
-                    continue
-                c = terms[m] if self.exact else (terms[m] + cs) / 2
-                del terms[m]
-                del terms[sibling]
-                total = terms.get(parent)
-                total = c if total is None else total + c
-                if self._is_small(total):
-                    terms.pop(parent, None)
-                else:
-                    terms[parent] = total
-                changed = True
+        # node (depth d, path q) under its germ's root (j, r, i, m0) is the
+        # monomial (j + d, r + (q << j), i + d, m0 + (q << i))
+        germs = {}
+        for m, c in items:
+            j, r, i, m0 = m.dom_level, m.dom_residue, m.range_level, m.base_image
+            d = min(i, j)
+            q = r >> (j - d)
+            nodes = germs.setdefault((j - d, r - (q << (j - d)), i - d, m0 - (q << (i - d))), {})
+            nodes[d, q] = nodes[d, q] + c if (d, q) in nodes else c
+        zero = RationalComplex() if self.exact else 0j
+        budget = MAX_NORMAL_FORM_NODES
+        terms = {}
+        for (j, r, i, m0), nodes in germs.items():
+            if len(nodes) > 1:  # a lone node is maximal, however deep
+                # split nodes: the strict ancestors of the given nodes
+                splits = set()
+                for d, q in nodes:
+                    for e in range(d - 1, -1, -1):
+                        node = (e, q & ((1 << e) - 1))
+                        if node in splits:
+                            break
+                        splits.add(node)
+                        budget -= 1
+                        if budget < 0:
+                            raise MemoryBudgetExceeded(
+                                f"a normal form needs over {MAX_NORMAL_FORM_NODES} trie nodes")
+                order = sorted(splits)
+                for e, q in order:  # top-down: push coefficients onto both children
+                    c = nodes.pop((e, q), None)
+                    if c is not None:
+                        for kid in ((e + 1, q), (e + 1, q | 1 << e)):
+                            nodes[kid] = nodes[kid] + c if kid in nodes else c
+                for e, q in reversed(order):  # bottom-up: merge equal sibling leaves
+                    kids = (e + 1, q), (e + 1, q | 1 << e)
+                    if kids[0] in splits or kids[1] in splits:
+                        continue
+                    c0, c1 = (nodes.get(kid, zero) for kid in kids)
+                    if self._coeffs_equal(c0, c1):
+                        splits.discard((e, q))
+                        nodes.pop(kids[0], None)
+                        nodes.pop(kids[1], None)
+                        nodes[e, q] = c0 if self.exact else (c0 + c1) / 2
+            for (d, q), c in nodes.items():
+                if not self._is_small(c):
+                    terms[Monomial(j + d, r + (q << j), i + d, m0 + (q << i))] = c
         self.terms = dict(sorted(terms.items()))
 
     # -- ring structure -----------------------------------------------------
@@ -372,14 +393,7 @@ class Element:
     def power(self, n: int) -> "Element":
         if n < 0:
             raise ValueError("negative powers are not defined on general elements")
-        if len(self.terms) <= 1:
-            return _power(self, n, Element.one(), Element.__mul__)
-        # the representative of a multi-term product depends on the order of
-        # multiplication, so keep the left-to-right product
-        out = Element.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        return _power(self, n, Element.one(), Element.__mul__)
 
     # -- predicates ----------------------------------------------------------
 
@@ -392,10 +406,10 @@ class Element:
         return self.exact == other.exact and self.terms == other.terms
 
     def equals(self, other: "Element") -> bool:
-        """Exact operator equality (canonical forms of the difference empty)."""
+        """Exact operator equality, which is equality of normal forms."""
         if not (self.exact and other.exact):
             raise ValueError("equals requires exact coefficients; use approx_equals")
-        return (self - other).is_zero()
+        return self == other
 
     def approx_equals(self, other: "Element", tol: float = APPROX_EQ_TOL) -> bool:
         diff = self - other

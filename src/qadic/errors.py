@@ -29,10 +29,6 @@ class UnsupportedIsometry(QadicError):
     """The element is not a single monomial isometry with full domain."""
 
 
-class UnresolvedConvention(QadicError):
-    """The two inner-product branches disagree on their overlap."""
-
-
 class MemoryBudgetExceeded(QadicError):
     """A computation would allocate more than its fixed memory budget."""
 

@@ -32,7 +32,7 @@ rng = random.Random(977)
 GENERATORS = {"u": u(), "U": u(-1), "s": s(), "S": s_adj()}
 
 
-def random_word(length=None):
+def random_word(length=None, rng=rng):
     length = rng.randint(1, 6) if length is None else length
     e = one()
     for _ in range(length):
@@ -40,12 +40,12 @@ def random_word(length=None):
     return e
 
 
-def random_element(max_words=3):
+def random_element(max_words=3, rng=rng):
     e = zero()
     for _ in range(rng.randint(1, max_words)):
         c = RationalComplex(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
                             Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
-        e = e + random_word().scale(c)
+        e = e + random_word(rng=rng).scale(c)
     return e
 
 
@@ -165,6 +165,46 @@ def test_merge_agrees_with_expand_oracle():
         level = max([m.dom_level for m in e1.terms] + [m.dom_level for m in e2.terms] + [0])
         same_expanded = expand_to_level(e1, level) == expand_to_level(e2, level)
         assert e1.equals(e2) == same_expanded
+
+
+def test_overlapping_forms_compare_equal():
+    # the same operator written over different partitions of a germ
+    a = one() + projection(0, 1)
+    b = projection(0, 1).scale(2) + projection(1, 1)
+    assert a == b and str(a) == str(b) == "2 s s* + u s s* u^-1"
+    c = u() + u() * projection(0, 1)
+    d = (u() * projection(0, 1)).scale(2) + projection(0, 1) * u()
+    assert c == d and str(c) == str(d) == "2 u s s* + s s* u"
+
+
+def _max_level(e):
+    return max([m.dom_level for m in e.terms] + [0])
+
+
+def random_overlapping_element(rand):
+    """A random element plus translated projections u^t P(l, k), so that
+    terms of one germ often lie on one branch of its trie."""
+    pieces = [(u(rand.randint(0, 1)) * projection(rand.randint(0, 7), rand.randint(0, 3)))
+              .scale(rand.randint(-2, 2)) for _ in range(rand.randint(1, 4))]
+    return Element.sum([random_element(rng=rand)] + pieces)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_equality_is_operator_equality(rand, perturb):
+    a = random_overlapping_element(rand)
+    b = Element(expand_to_level(a, _max_level(a) + rand.randint(0, 2)))
+    if perturb:
+        b = b + random_overlapping_element(rand)
+    assert (a == b) == l2_window_equal(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 3))
+def test_normal_form_does_not_depend_on_the_writing(rand, extra):
+    e = random_overlapping_element(rand)
+    assert Element(expand_to_level(e, _max_level(e) + extra)) == e
+    assert list(Element(e.terms).terms.items()) == list(e.terms.items())
 
 
 def test_unitary_isometry_identities():
@@ -452,4 +492,4 @@ multi_term = st.lists(one_term, min_size=2, max_size=3).map(Element.sum)
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(one_term, multi_term), st.integers(0, 8))
 def test_power_equals_repeated_product(e, n):
-    assert e.power(n).equals(functools.reduce(operator.mul, [e] * n, one()))
+    assert e.power(n) == functools.reduce(operator.mul, [e] * n, one())

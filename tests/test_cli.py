@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from qadic.cli import (
     parse_case_pow2,
     parse_expr,
 )
-from qadic.errors import ParseError
+from qadic.errors import MemoryBudgetExceeded, ParseError
 from qadic.numbers import dyadic
 
 rng = random.Random(271828)
@@ -119,7 +120,18 @@ def test_parsed_sum_equals_folded_sum(terms):
 def test_sum_form_does_not_depend_on_term_order():
     forward = "s^2 s*^2 + u^2 s^2 s*^2 u^-2 + s s* + u s s* u^-1"
     backward = "u s s* u^-1 + s s* + u^2 s^2 s*^2 u^-2 + s^2 s*^2"
-    assert str(parse_expr(forward)) == str(parse_expr(backward)) == "1 + s s*"
+    assert str(parse_expr(forward)) == str(parse_expr(backward)) == "2 s s* + u s s* u^-1"
+
+
+def test_deep_normal_form_fails_fast(capsys):
+    # the unique form of 1 + s^K s*^K has K + 1 terms
+    assert len(parse_expr("1 + s^64 s*^64").terms) == 65
+    start = time.perf_counter()
+    with pytest.raises(MemoryBudgetExceeded):
+        parse_expr("1 + s^100000 s*^100000")
+    assert time.perf_counter() - start < 1.0
+    assert main(["normalize", "1 + s^100000 s*^100000"]) == 3
+    capsys.readouterr()
 
 
 def test_large_power_parses_in_logarithmic_products(monkeypatch):
