@@ -11,12 +11,14 @@ algebra combines an exact 2-adic phase with the twisted correlation of the
 grid module, and the algebra-valued inner product lands in the numeric
 mode of the symbolic algebra.
 
-The inner product has two branches depending on which power-of-two leg is
-larger; on their overlap m1 = m2 they do the same arithmetic, so the small
-left branch serves it.  The branch with the larger left leg sums over
-shifts in (m2/m1) Z (integer powers of the translation appear only after
-scaling by m1/m2).  The module axioms pin this indexing; the test-suite
-checks them and compares the two branches on their overlap.
+The inner product of a tensor pair is one kernel.  Both legs are refined
+once to a common grid; every shift's coefficient is then a vdot of two
+slices of those samples, read at a lattice stride, and its monomial one
+composition against a shift-independent factor.  When the left leg is the
+larger, the sum runs over shifts in (m2/m1) Z (integer powers of the
+translation appear only after scaling by m1/m2).  The module axioms pin
+this indexing; the test-suite checks them and compares each shift with
+its reindexed inner product and composed monomial chain.
 """
 
 from __future__ import annotations
@@ -41,31 +43,6 @@ from .numbers import (
 )
 
 INNER_EPS = 1e-14
-
-
-def _proj_monomial(offset: int, level_exp: int) -> Monomial:
-    return Monomial.from_word(offset, level_exp, level_exp, -offset)
-
-
-def _shift_monomial(n: int) -> Monomial:
-    return Monomial.from_word(n, 0, 0, 0)
-
-
-def _isometry_monomial(level_exp: int) -> Monomial:
-    return Monomial.from_word(0, level_exp, 0, 0)
-
-
-def _coisometry_monomial(level_exp: int) -> Monomial:
-    return Monomial.from_word(0, 0, level_exp, 0)
-
-
-def _compose_chain(*monomials: Monomial) -> Monomial | None:
-    out = monomials[0]
-    for m in monomials[1:]:
-        out = compose(out, m)
-        if out is None:
-            return None
-    return out
 
 
 class BimoduleElement:
@@ -175,65 +152,56 @@ class BimoduleElement:
 
 def _common_legs(xi1: GridFunction, xi2: GridFunction, shift_exp: int):
     """xi1 and t -> xi2(2^shift_exp t), refined once to the grid on which
-    every shift of either branch is an exact reindex of the second leg."""
+    every shift is a whole number of samples of the second leg."""
     g = max(xi1.spacing_exp, xi2.spacing_exp + shift_exp, shift_exp, 0)
     return xi1.to_grid(g), affine_reindex(xi2.to_grid(g - shift_exp), shift_exp, 0)
 
 
-def _case_small_left(key1, xi1, key2, xi2):
-    """Branch m1 <= m2: coefficients <xi1, xi2((. + b) m1/m2)> over integral b."""
-    (l1, k1e, m1e), (l2, k2e, m2e) = key1, key2
-    weight = 2.0 ** m1e
-    shift_exp = m1e - m2e
-    s1lo, s1hi = xi1.support()
-    s2lo, s2hi = xi2.support()
-    lo = math.floor(s2lo * 2.0 ** -shift_exp - s1hi) - 1
-    hi = math.ceil(s2hi * 2.0 ** -shift_exp - s1lo) + 1
-    fine1, base2 = _common_legs(xi1, xi2, shift_exp)
-    out = []
-    for b in range(lo, hi + 1):
-        mono = _compose_chain(_proj_monomial(l1, k1e), _shift_monomial(-b),
-                              _isometry_monomial(-shift_exp),
-                              _proj_monomial(l2, k2e))
-        if mono is None:
-            continue
-        # xi2((t + b) m1/m2)
-        val = weight * inner(fine1, translate(base2, -b))
-        if abs(val) > INNER_EPS:
-            out.append((mono, val))
-    return out
-
-
-def _case_large_left(key1, xi1, key2, xi2):
-    """Branch m1 >= m2: shifts live in (m2/m1) Z, so only their integral
-    multiples b = (m1/m2) * shift appear as translation powers."""
-    (l1, k1e, m1e), (l2, k2e, m2e) = key1, key2
-    weight = 2.0 ** m1e
-    shift_exp = m1e - m2e
-    s1lo, s1hi = xi1.support()
-    s2lo, s2hi = xi2.support()
-    lo = math.floor(s2lo - s1hi * 2.0 ** shift_exp) - 1
-    hi = math.ceil(s2hi - s1lo * 2.0 ** shift_exp) + 1
-    fine1, base2 = _common_legs(xi1, xi2, shift_exp)
-    out = []
-    for b in range(lo, hi + 1):
-        mono = _compose_chain(_proj_monomial(l1, k1e),
-                              _coisometry_monomial(shift_exp),
-                              _shift_monomial(-b), _proj_monomial(l2, k2e))
-        if mono is None:
-            continue
-        # xi2(t m1/m2 + b)
-        val = weight * inner(fine1, translate(base2, dyadic(-b, shift_exp)))
-        if abs(val) > INNER_EPS:
-            out.append((mono, val))
-    return out
-
-
 def _pair_terms(key1, xi1, key2, xi2):
-    """Inner-product terms of one tensor pair: list of (Monomial, complex)."""
-    if key1[2] <= key2[2]:
-        return _case_small_left(key1, xi1, key2, xi2)
-    return _case_large_left(key1, xi1, key2, xi2)
+    """Inner-product terms of one tensor pair: list of (Monomial, complex).
+
+    Term b pairs xi1 with xi2((t + b) m1/m2) when m1 <= m2 and with
+    xi2(t m1/m2 + b) otherwise.  On the common grid both are the refined
+    second leg moved by b lattice strides, so each value is one vdot of two
+    sample slices, and each monomial one compose against a b-free factor.
+    """
+    (l1, k1e, m1e), (l2, k2e, m2e) = key1, key2
+    shift_exp = m1e - m2e
+    s1lo, s1hi = xi1.support()
+    s2lo, s2hi = xi2.support()
+    fine1, base2 = _common_legs(xi1, xi2, shift_exp)
+    if shift_exp <= 0:
+        # P1 U^-b S^n P2 with n = m2e - m1e
+        lo = math.floor(s2lo * 2.0 ** -shift_exp - s1hi) - 1
+        hi = math.ceil(s2hi * 2.0 ** -shift_exp - s1lo) + 1
+        stride = 1 << fine1.spacing_exp
+        right = compose(Monomial.from_word(0, -shift_exp, 0, 0),
+                        Monomial.from_word(l2, k2e, k2e, -l2))
+        monomial = lambda b: compose(Monomial.from_word(l1, k1e, k1e, -l1 - b), right)
+    else:
+        # P1 S*^e U^-b P2 with e = m1e - m2e: shifts live in (m2/m1) Z
+        lo = math.floor(s2lo - s1hi * 2.0 ** shift_exp) - 1
+        hi = math.ceil(s2hi - s1lo * 2.0 ** shift_exp) + 1
+        stride = 1 << (fine1.spacing_exp - shift_exp)
+        left = compose(Monomial.from_word(l1, k1e, k1e, -l1),
+                       Monomial.from_word(0, 0, shift_exp, 0))
+        monomial = lambda b: compose(left, Monomial.from_word(l2 - b, k2e, k2e, -l2))
+    x1, x2 = fine1.samples, base2.samples
+    n1, n2 = len(x1), len(x2)
+    weight, h = 2.0 ** m1e, fine1.h
+    out = []
+    for b in range(lo, hi + 1):
+        offset = base2.start_index - b * stride - fine1.start_index
+        if offset >= n1 or -offset >= n2:
+            continue
+        va = x1[max(offset, 0):min(n1, offset + n2)]
+        vb = x2[max(-offset, 0):min(n2, n1 - offset)]
+        val = weight * complex(np.vdot(va, vb) * h)
+        if abs(val) > INNER_EPS:
+            mono = monomial(b)
+            if mono is not None:
+                out.append((mono, val))
+    return out
 
 
 def algebra_inner(phi1: BimoduleElement, phi2: BimoduleElement) -> Element:

@@ -544,9 +544,14 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None  # built by the first main call
+
+
 def main(argv=None) -> int:
-    parser = _build_arg_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_arg_parser()
+    args = _PARSER.parse_args(argv)
     try:
         config = _config_from_args(args)
     except ValueError as exc:

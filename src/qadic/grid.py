@@ -61,12 +61,13 @@ class GridFunction:
 
     def __init__(self, spacing_exp: int, start_index: int, samples, style: str = "smooth"):
         samples = np.asarray(samples, dtype=complex)
-        nz = np.nonzero(samples)[0]
-        if len(nz) == 0:
-            start_index, samples = 0, samples[:0]
-        else:
-            start_index += int(nz[0])
-            samples = samples[nz[0]:nz[-1] + 1]
+        if not (len(samples) and samples[0] and samples[-1]):  # else already trimmed
+            nz = np.nonzero(samples)[0]
+            if len(nz) == 0:
+                start_index, samples = 0, samples[:0]
+            else:
+                start_index += int(nz[0])
+                samples = samples[nz[0]:nz[-1] + 1]
         if style not in ("step", "smooth"):
             raise ValueError(f"unknown style {style!r}")
         self.spacing_exp = spacing_exp
@@ -464,9 +465,6 @@ class GaussianSymbol:
     def sup_estimate(self):
         return 1.0
 
-    def params(self):
-        return {"center": self.center, "width": self.width, "modulation": self.modulation}
-
 
 class BumpSymbol:
     """Symbol whose inverse transform is a raised-cosine bump.
@@ -502,9 +500,6 @@ class BumpSymbol:
     def sup_estimate(self):
         return self.radius
 
-    def params(self):
-        return {"center": self.center, "radius": self.radius}
-
 
 class TabulatedFourierPair:
     """A symbol given by samples of f and of its inverse transform.
@@ -536,9 +531,6 @@ class TabulatedFourierPair:
 
     def sup_estimate(self):
         return float(np.max(np.abs(self.f_grid.samples))) if not self.f_grid.is_zero() else 0.0
-
-    def params(self):
-        return {"support": self.fcheck_grid.support()}
 
 
 # -- CSV interchange -----------------------------------------------------------------

@@ -152,11 +152,6 @@ class PowerOfTwo:
         return self.exponent >= 0
 
 
-ONE = PowerOfTwo(0)
-TWO = PowerOfTwo(1)
-HALF = PowerOfTwo(-1)
-
-
 @dataclass(frozen=True)
 class PadicInt:
     """A 2-adic integer known mod 2**precision."""

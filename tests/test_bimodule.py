@@ -5,13 +5,13 @@ import random
 import numpy as np
 import pytest
 
-from qadic.algebra import one, projection, s, s_adj, u
+from qadic import bimodule, grid
+from qadic.algebra import Monomial, compose, one, projection, s, s_adj, u
 from qadic.bimodule import (
     INNER_EPS,
     BimoduleElement,
     InducedVector,
-    _case_large_left,
-    _case_small_left,
+    _pair_terms,
     algebra_inner,
     equivalence_residual,
     induce,
@@ -31,6 +31,14 @@ from qadic.grid import (
     inner,
     norm,
     sample_symbol,
+)
+from qadic.cli import (
+    RunConfig,
+    build_symbol,
+    build_vector,
+    default_cases,
+    parse_case_dyadic,
+    parse_case_pow2,
 )
 from qadic.numbers import (
     PadicInt,
@@ -158,32 +166,96 @@ def test_inner_offdiagonal_class_kills_basis_zero():
     assert q.apply({0: 1.0}) == {}
 
 
+def compose_chain(*words):
+    out = Monomial.from_word(*words[0])
+    for word in words[1:]:
+        out = compose(out, Monomial.from_word(*word))
+        if out is None:
+            return None
+    return out
+
+
+def per_shift_terms(key1, xi1, key2, xi2, large_left):
+    """Reference terms: every shift b composes its four-monomial chain and
+    reindexes xi2 afresh, and inner() refines both legs again."""
+    (l1, k1e, m1e), (l2, k2e, m2e) = key1, key2
+    shift_exp = m1e - m2e
+    p1, p2 = (l1, k1e, k1e, -l1), (l2, k2e, k2e, -l2)
+    out = []
+    for b in range(-64, 65):
+        if large_left:  # P1 S*^e U^-b P2, xi2(t m1/m2 + b)
+            mono = compose_chain(p1, (0, 0, shift_exp, 0), (-b, 0, 0, 0), p2)
+            shift = b
+        else:  # P1 U^-b S^n P2, xi2((t + b) m1/m2)
+            mono = compose_chain(p1, (-b, 0, 0, 0), (0, -shift_exp, 0, 0), p2)
+            shift = dyadic(b, -shift_exp)
+        if mono is None:
+            continue
+        val = 2.0 ** m1e * inner(xi1, affine_reindex(xi2, shift_exp, shift))
+        if abs(val) > INNER_EPS:
+            out.append((mono, val))
+    return out
+
+
 def test_inner_branch_overlap_consistency():
-    xi1, xi2 = unit_bump(0, 3), unit_bump(2, 6)
+    # at m1 = m2 both per-shift formulas are the kernel's, to the last digit;
+    # the unit bumps meet only at b = 0, where the classes are disjoint
     key1, key2 = (1, 2, 0), (3, 2, 0)
-    small = dict(_case_small_left(key1, xi1, key2, xi2))
-    large = dict(_case_large_left(key1, xi1, key2, xi2))
-    assert small.keys() == large.keys()
-    for m in small:
-        assert small[m] == pytest.approx(large[m], abs=1e-12)
+    wide = sample_symbol(GaussianSymbol(-0.1, 1.0), G, -4.0, 4.0)
+    for xi1, xi2, count in [(unit_bump(0, 3), unit_bump(2, 6), 0),
+                            (unit_bump(0, 3), wide, 2)]:
+        got = _pair_terms(key1, xi1, key2, xi2)
+        assert len(got) == count
+        assert got == per_shift_terms(key1, xi1, key2, xi2, large_left=False)
+        assert got == per_shift_terms(key1, xi1, key2, xi2, large_left=True)
 
 
 @pytest.mark.parametrize("m1e,m2e", [(-2, 0), (-1, 1), (0, 0), (1, -1), (2, 0)])
 def test_inner_branches_equal_per_shift_reindexing(m1e, m2e):
-    # reference: every shift b reindexes xi2 afresh and inner() refines both
-    # legs; the branches refine once per pair, which must not change a digit
+    # the kernel refines once per pair and reads each shift as a slice,
+    # which must not change a digit or a monomial
     xi1 = unit_bump(1, 5)
     xi2 = sample_symbol(GaussianSymbol(-0.1, 0.4), G + 1, -2.0, 3.0)
-    shift_exp = m1e - m2e
-    branch = _case_small_left if shift_exp <= 0 else _case_large_left
-    got = branch((0, 0, m1e), xi1, (0, 0, m2e), xi2)
-    ref = []
-    for b in range(-40, 41):
-        shift = dyadic(b, -shift_exp) if shift_exp <= 0 else b
-        val = 2.0 ** m1e * inner(xi1, affine_reindex(xi2, shift_exp, shift))
-        if abs(val) > INNER_EPS:
-            ref.append(val)
-    assert [val for _, val in got] == ref
+    key1, key2 = (0, 0, m1e), (0, 0, m2e)
+    got = _pair_terms(key1, xi1, key2, xi2)
+    assert got
+    assert got == per_shift_terms(key1, xi1, key2, xi2, large_left=m1e > m2e)
+
+
+def test_inner_kernel_matches_chain_on_class_keys():
+    # nonzero residue classes: the kernel's b-free factor must carry l1, l2
+    # exactly as the per-shift chain does
+    pair_rng = random.Random(1729)
+    xi1 = unit_bump(1, 5)
+    xi2 = sample_symbol(GaussianSymbol(-0.1, 0.4), G + 1, -2.0, 3.0)
+    classes = [(l, k) for k in range(4) for l in range(1 << k)]
+    for m1e in range(-2, 3):
+        for m2e in range(-2, 3):
+            for _ in range(3):
+                (l1, k1e), (l2, k2e) = pair_rng.choice(classes), pair_rng.choice(classes)
+                key1, key2 = (l1, k1e, m1e), (l2, k2e, m2e)
+                assert _pair_terms(key1, xi1, key2, xi2) == \
+                    per_shift_terms(key1, xi1, key2, xi2, large_left=m1e > m2e), (key1, key2)
+
+
+def test_inner_reads_shifts_without_grid_calls(monkeypatch):
+    # every shift is a slice of the once-refined legs: no translate, no inner
+    config = RunConfig(grid_exp=6)
+    pairs = []
+    for case in default_cases():
+        f, d, c = build_symbol(case["f"]), parse_case_dyadic(case["d"]), parse_case_pow2(case["c"])
+        phi2 = induced_act(f, d, c, induce(build_vector(case["xi"], config))).legs[0]
+        pairs.append((induce(build_vector(case["xi1"], config)).legs[0], phi2))
+    calls = dict.fromkeys(("translate", "inner"), 0)
+    for module in (bimodule, grid):
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(module, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counted)
+    for phi1, phi2 in pairs:
+        assert not algebra_inner(phi1, phi2).is_zero()
+    assert calls == {"translate": 0, "inner": 0}
 
 
 def test_module_axiom_right_linearity():

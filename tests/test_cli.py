@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qadic import algebra
+from qadic import algebra, cli
 from qadic.algebra import RationalComplex, one, projection, s, s_adj, u, zero
 from qadic.cli import (
     RunConfig,
@@ -306,6 +306,41 @@ def test_report_deterministic(tmp_path, capsys):
     r1.pop("generated_at")
     r2.pop("generated_at")
     assert r1 == r2
+
+
+def test_reused_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert main(["duality"]) == 0
+    fresh = capsys.readouterr().out
+    out = tmp_path / "g8.json"
+    assert main(["--format", "json", "-g", "8", "--out", str(out), "duality"]) == 0
+    assert json.loads(out.read_text())["grid"]["g"] == 8
+    args = cli._PARSER.parse_args(["duality"])
+    assert (args.grid_exp, args.format, args.out) == (6, "text", None)
+    assert main(["duality"]) == 0
+    again = capsys.readouterr().out
+    assert again == fresh and again.endswith("all cases pass\n")
+    assert main(["apply", "u", "--basis", "5"]) == 0
+    assert main(["apply", "u"]) == 0
+    assert capsys.readouterr().out.split() == ["6:", "1", "1:", "1"]
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    calls = 0
+    build = cli._build_arg_parser
+
+    def counted():
+        nonlocal calls
+        calls += 1
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_build_arg_parser", counted)
+    assert main(["normalize", "u"]) == 0
+    assert main(["eq", "s u", "u^2 s"]) == 0
+    assert main(["apply", "u", "--basis", "2"]) == 0
+    capsys.readouterr()
+    assert calls == 1
 
 
 def test_default_cases_cover_spec_grid():
