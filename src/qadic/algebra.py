@@ -25,6 +25,7 @@ from .errors import MemoryBudgetExceeded
 NUMERIC_EPS = 1e-12
 APPROX_EQ_TOL = 1e-9
 MAX_NORMAL_FORM_NODES = 1 << 14  # trie nodes one normalization may split
+MAX_WINDOW = 1 << 16  # half-width of a basis window [-N, N] built as a table
 
 
 @dataclass(frozen=True)
@@ -446,8 +447,12 @@ class Element:
 
         Returns (entries, boundary_loss) where entries maps (row, col) to a
         complex amplitude and boundary_loss flags any image that fell
-        outside the window.
+        outside the window.  Half-widths beyond MAX_WINDOW raise
+        MemoryBudgetExceeded before anything is built.
         """
+        if half_width > MAX_WINDOW:
+            raise MemoryBudgetExceeded(
+                f"window half-width {half_width} exceeds the budget of {MAX_WINDOW}")
         entries = {}
         boundary_loss = False
         for col in range(-half_width, half_width + 1):

@@ -248,42 +248,31 @@ def _config_from_args(args) -> RunConfig:
 # -- case files --------------------------------------------------------------------
 
 
+def _read_pow2(text: str) -> int:
+    """k for a power of two written "2^k" or as the integer 2^k."""
+    text = text.strip()
+    if text.startswith("2^"):
+        return int(text[2:])
+    n = int(text)
+    if n <= 0 or n & (n - 1):
+        raise ValueError(f"{text} is not a power of two")
+    return n.bit_length() - 1
+
+
+def _split_case_number(text) -> tuple[str, int]:
+    """The numerator text and k of a case value written "a" or "a/d", d = 2^k."""
+    num, slash, den = str(text).strip().partition("/")
+    return num, _read_pow2(den) if slash else 0
+
+
 def parse_case_dyadic(text: str):
-    text = str(text).strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        num = int(num)
-        den = den.strip()
-        if den.startswith("2^"):
-            return dyadic(num, int(den[2:]))
-        d = int(den)
-        e = d.bit_length() - 1
-        if (1 << e) != d:
-            raise ValueError(f"denominator {d} is not a power of two")
-        return dyadic(num, e)
-    return dyadic(int(text))
+    num, k = _split_case_number(text)
+    return dyadic(int(num), k)
 
 
 def parse_case_pow2(text: str) -> PowerOfTwo:
-    text = str(text).strip()
-    if text.startswith("2^"):
-        return PowerOfTwo(int(text[2:]))
-    if text.startswith("1/2^"):
-        return PowerOfTwo(-int(text[4:]))
-    if "/" in text:
-        num, den = text.split("/", 1)
-        if int(num) != 1:
-            raise ValueError(f"{text} is not a power of two")
-        d = int(den)
-        e = d.bit_length() - 1
-        if (1 << e) != d:
-            raise ValueError(f"{text} is not a power of two")
-        return PowerOfTwo(-e)
-    n = int(text)
-    e = n.bit_length() - 1
-    if n <= 0 or (1 << e) != n:
-        raise ValueError(f"{text} is not a power of two")
-    return PowerOfTwo(e)
+    num, k = _split_case_number(text)
+    return PowerOfTwo(_read_pow2(num) - k)
 
 
 def build_symbol(spec: dict):

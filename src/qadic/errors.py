@@ -17,14 +17,6 @@ class CuntzRelationViolation(QadicError):
     """A pair of isometries does not satisfy S0 S0* + S1 S1* = 1."""
 
 
-class HypothesisViolation(QadicError):
-    """The unitary parts of the two isometries are not equivalent."""
-
-
-class NonTermination(QadicError):
-    """An iterative construction exceeded its safety bound."""
-
-
 class UnsupportedIsometry(QadicError):
     """The element is not a single monomial isometry with full domain."""
 

@@ -212,9 +212,16 @@ def indicator(spacing_exp: int, lo: DyadicRational | int, hi: DyadicRational | i
 
 
 def sample_symbol(f, spacing_exp: int, lo: float, hi: float) -> GridFunction:
-    """Sample a closed-form function on [lo, hi] at the given resolution."""
+    """Sample a closed-form function on [lo, hi] at the given resolution.
+
+    More than MAX_PLAIN_FFT samples raise MemoryBudgetExceeded before any
+    is computed.
+    """
     start = math.floor(lo * 2 ** spacing_exp)
     end = math.ceil(hi * 2 ** spacing_exp)
+    if end - start + 1 > MAX_PLAIN_FFT:
+        raise MemoryBudgetExceeded(
+            f"{end - start + 1} samples exceed the budget of {MAX_PLAIN_FFT} points")
     x = (start + np.arange(end - start + 1)) * 2.0 ** (-spacing_exp)
     vals = np.asarray(f.f_values(x), dtype=complex)
     vals = np.where(np.abs(vals) < _TAIL_CUTOFF, 0, vals)

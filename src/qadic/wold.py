@@ -11,30 +11,26 @@ complements of the unitary parts of S1 and S0, and extending it across the
 
     U S0 = S1   and   S0 U = U^2 S0.
 
-Everything here is exact.  Since S0 S0* + S1 S1* = 1, every basis index
-lies in exactly one of im(S0), im(S1), so exactly one term of the sum is
-nonzero on e_n:
+Everything here is exact.  The ranges c0 + 2^i Z and c1 + 2^j Z partition
+Z only when i = j = 1 and c0 + c1 is odd, so S0 = n -> 2n + c0 and
+S1 = n -> 2n + c1.  Exactly one term of the sum is nonzero on e_n: V e_n =
+S0^k S1 S0* e_m with n = S1^k m and m outside im(S1).  Then
 
-    V e_n = S0^k S1 S0* e_m   with m = (S1*)^k n the first point of the
-                              S1*-orbit of n outside im(S1),
+    S1^k m = 2^k m + c1 (2^k - 1),
+    S0^k y = 2^k y + c0 (2^k - 1),   y = S1 S0* m = m - c0 + c1,
+    so V e_n = e_{n + c1 - c0},
 
-and V e_n = 0 on the S1 fixed point, whose orbit never leaves.  V is thus
-a map on basis indices; ``build_vn`` keeps the symbolic partial sums.
+except on the S1 fixed point -c1, whose orbit never leaves im(S1) and
+which V kills.  U is the translation u^(c1 - c0) with the phase on that
+line; ``build_vn`` keeps the symbolic partial sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Element, Monomial, one
-from .errors import (
-    CuntzRelationViolation,
-    HypothesisViolation,
-    NonTermination,
-    UnsupportedIsometry,
-)
-
-GUARD_FACTOR = 64
+from .algebra import MAX_WINDOW, Element, Monomial, one
+from .errors import CuntzRelationViolation, MemoryBudgetExceeded, UnsupportedIsometry
 
 
 @dataclass(frozen=True)
@@ -68,10 +64,7 @@ class MonomialIsometry:
         return self.map.base_image
 
     def apply_index(self, n: int) -> int:
-        return self.map.apply_index(n)
-
-    def adjoint_index(self, n: int) -> int | None:
-        return self.map.adjoint().apply_index(n)
+        return (n << self.map.range_level) + self.map.base_image
 
 
 @dataclass(frozen=True)
@@ -126,39 +119,6 @@ def build_vn(S0: MonomialIsometry, S1: MonomialIsometry, n: int) -> Element:
     return out
 
 
-def _orbit_exit(S1: MonomialIsometry, n: int, guard: int,
-                fixed_point: int | None) -> tuple[int, int] | None:
-    """Walk the S1*-orbit of n to its first point m outside im(S1).
-
-    Returns (k, m) with m = (S1*)^k n, or None when n is the S1 fixed point
-    (the orbit stays there and V kills e_n).  Raises NonTermination past
-    the guard.
-    """
-    k = 0
-    while n != fixed_point:
-        nxt = S1.adjoint_index(n)
-        if nxt is None:
-            return k, n
-        n = nxt
-        k += 1
-        if k > guard:
-            raise NonTermination(f"S1* orbit exceeded {guard} steps")
-    return None
-
-
-def _v_index(S0: MonomialIsometry, S1: MonomialIsometry, n: int, guard: int,
-             fixed_point: int | None) -> int | None:
-    """The basis index of V e_n = S0^k S1 S0* e_m, or None when V e_n = 0."""
-    exit_point = _orbit_exit(S1, n, guard, fixed_point)
-    if exit_point is None:
-        return None
-    k, m = exit_point
-    image = S1.apply_index(S0.adjoint_index(m))
-    for _ in range(k):
-        image = S0.apply_index(image)
-    return image
-
-
 def apply_v_limit(S0: MonomialIsometry, S1: MonomialIsometry, vec: dict) -> dict:
     """The strong limit V applied to a finitely supported vector.
 
@@ -167,14 +127,8 @@ def apply_v_limit(S0: MonomialIsometry, S1: MonomialIsometry, vec: dict) -> dict
     exact when every value is exact, complex otherwise, zeros dropped.
     """
     _check_cuntz(S0, S1)
-    fixed_point = unitary_part(S1).fixed_point
-    guard = GUARD_FACTOR * max(1, max(map(abs, vec), default=0))
-    out = {}
-    for n, c in Element.one().apply(vec).items():
-        image = _v_index(S0, S1, n, guard, fixed_point)
-        if image is not None:
-            out[image] = c
-    return out
+    shift, fixed_point = S1.offset - S0.offset, -S1.offset
+    return {n + shift: c for n, c in Element.one().apply(vec).items() if n != fixed_point}
 
 
 def build_extension_unitary(S0: MonomialIsometry, S1: MonomialIsometry,
@@ -182,21 +136,17 @@ def build_extension_unitary(S0: MonomialIsometry, S1: MonomialIsometry,
     """Table n -> (image index, amplitude) of the extension unitary on [-N, N].
 
     The shift parts are matched by the strong limit V of the partial sums;
-    the unitary parts (when present) are matched by sending the S1 fixed
-    basis vector to the S0 one, by default with amplitude +1.
+    the unitary parts are matched by sending the S1 fixed basis vector to
+    the S0 one, by default with amplitude +1.
     """
+    if window > MAX_WINDOW:
+        raise MemoryBudgetExceeded(
+            f"window half-width {window} exceeds the budget of {MAX_WINDOW}")
     _check_cuntz(S0, S1)
-    wd0, wd1 = unitary_part(S0), unitary_part(S1)
-    if {wd0.kind, wd1.kind} not in ({"fixed"}, {"empty"}):
-        raise HypothesisViolation(
-            f"unitary parts are not equivalent: {wd0.kind} vs {wd1.kind}")
-    table = {}
-    for n in range(-window, window + 1):
-        if n == wd1.fixed_point:
-            table[n] = (wd0.fixed_point, complex(w_phase))
-        else:
-            guard = GUARD_FACTOR * max(1, abs(n))
-            table[n] = (_v_index(S0, S1, n, guard, wd1.fixed_point), 1 + 0j)
+    shift, fixed_point = S1.offset - S0.offset, -S1.offset
+    table = {n: (n + shift, 1 + 0j) for n in range(-window, window + 1)}
+    if fixed_point in table:
+        table[fixed_point] = (fixed_point + shift, complex(w_phase))
     return table
 
 

@@ -168,6 +168,28 @@ def test_case_value_parsers():
         parse_case_dyadic("1/3")
 
 
+# each value read by both case parsers: (dyadic (numerator, exponent), pow2 exponent);
+# None means ValueError
+CASE_VALUES = [
+    ("2^3", None, 3), ("2^-3", None, -3), ("1/2^3", (1, 3), -3), ("1/8", (1, 3), -3),
+    ("8", (8, 0), 3), ("3/2^2", (3, 2), None), ("-5/4", (-5, 2), None),
+    ("7", (7, 0), None), ("3/4", (3, 2), None), ("0", (0, 0), None),
+    ("1/6", None, None), ("1/-2", None, None), ("1/2^-1", (2, 0), 1),
+    (" 1/2 ", (1, 1), -1), ("1", (1, 0), 0), ("x", None, None),
+]
+
+
+@pytest.mark.parametrize("text, as_dyadic, as_pow2", CASE_VALUES)
+def test_case_value_table(text, as_dyadic, as_pow2):
+    for parse, expected in ((parse_case_dyadic, as_dyadic and dyadic(*as_dyadic)),
+                            (lambda t: parse_case_pow2(t).exponent, as_pow2)):
+        if expected is None:
+            with pytest.raises(ValueError):
+                parse(text)
+        else:
+            assert parse(text) == expected
+
+
 # -- commands ----------------------------------------------------------------------
 
 
@@ -294,6 +316,19 @@ def test_cmd_duality_memory_budget_exit(tmp_path, capsys):
     path = tmp_path / "cases.json"
     path.write_text(json.dumps(cases))
     assert main(["duality", "--cases", str(path)]) == 3
+    assert "MemoryBudgetExceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["wold", "--s0", "s", "--s1", "u s", "-N", "131072"],
+    ["matrix", "u s", "-N", "131072"],
+    ["duality", "-g", "12", "-N", "4096"],
+])
+def test_window_budgets_exit_fast(argv, capsys):
+    # refused before any table, matrix or sample array is built
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1.0
     assert "MemoryBudgetExceeded" in capsys.readouterr().err
 
 

@@ -23,3 +23,31 @@ def test_only_algebra_builds_monomials_from_fields():
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Monomial"]
     assert found == []
+
+
+def _names(node):
+    """The class names an exception expression or handler type refers to."""
+    if isinstance(node, ast.Tuple):
+        return {name for elt in node.elts for name in _names(elt)}
+    if isinstance(node, ast.Call):
+        return _names(node.func)
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return {node.id} if isinstance(node, ast.Name) else set()
+
+
+def test_every_error_type_is_raised_or_caught():
+    # an error class that nothing raises or catches is dead code
+    errors = ast.parse((LIBRARY / "errors.py").read_text())
+    declared = {node.name for node in errors.body
+                if isinstance(node, ast.ClassDef) and node.name != "QadicError"}
+    used = set()
+    for path in sorted(LIBRARY.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                used |= _names(node.exc)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                used |= _names(node.type)
+    assert declared and sorted(declared - used) == []

@@ -134,12 +134,79 @@ exact_values = st.one_of(st.integers(-3, 3), fractions,
 complex_values = st.complex_numbers(max_magnitude=8, allow_nan=False, allow_infinity=False)
 
 
+def adjoint_index(S, n):
+    """S* e_n by arithmetic: the preimage of n under n -> 2^i n + c, or None."""
+    d = n - S.offset
+    return None if d % (1 << S.slope_exp) else d >> S.slope_exp
+
+
 def orbit_length(S1, n):
     """S1* steps from n until the orbit leaves im(S1) or sits at the fixed point."""
     k = 0
-    while (m := S1.adjoint_index(n)) is not None and m != n:
+    while (m := adjoint_index(S1, n)) is not None and m != n:
         n, k = m, k + 1
     return k
+
+
+def walked_v_index(S0, S1, n):
+    """Oracle: V e_n = S0^k S1 S0* e_m from the S1*-orbit walk, or None on the fixed point."""
+    fixed_point = unitary_part(S1).fixed_point
+    k = 0
+    while n != fixed_point:
+        m = adjoint_index(S1, n)
+        if m is None:
+            image = S1.apply_index(adjoint_index(S0, n))
+            for _ in range(k):
+                image = S0.apply_index(image)
+            return image
+        n, k = m, k + 1
+    return None
+
+
+def walked_extension_unitary(S0, S1, window, w_phase):
+    """Oracle: the extension unitary table built index by index from the walk."""
+    fixed0, fixed1 = unitary_part(S0).fixed_point, unitary_part(S1).fixed_point
+    return {n: (fixed0, complex(w_phase)) if n == fixed1
+            else (walked_v_index(S0, S1, n), 1 + 0j)
+            for n in range(-window, window + 1)}
+
+
+@st.composite
+def two_sided_cuntz_pairs(draw):
+    """S0, S1 = u^a s u^c in either role: n -> 2n + a + 2c, offsets of opposite parity."""
+    a0, c0, c1 = (draw(st.integers(-16, 16)) for _ in range(3))
+    a1 = draw(st.integers(-16, 16).filter(lambda a1: (a0 + a1) % 2))
+    pair = [MonomialIsometry.from_element(u(a0) * s() * u(c0)),
+            MonomialIsometry.from_element(u(a1) * s() * u(c1))]
+    return pair[::-1] if draw(st.booleans()) else pair
+
+
+@settings(deadline=None)
+@given(two_sided_cuntz_pairs(), st.sampled_from([1, 1j]), st.integers(1, 64))
+def test_closed_form_unitary_matches_orbit_walk(pair, w_phase, window):
+    S0_, S1_ = pair
+    table = build_extension_unitary(S0_, S1_, window, w_phase)
+    assert table == walked_extension_unitary(S0_, S1_, window, w_phase)
+    assert list(table) == list(range(-window, window + 1))
+
+
+def test_cuntz_pairs_are_exactly_slope_one_opposite_parity():
+    # the closed form rests on this: no other monomial pair passes the check
+    draw = random.Random(9)
+    accepted = rejected = 0
+    for _ in range(400):
+        i0, i1 = draw.randint(1, 3), draw.randint(1, 3)
+        c0, c1 = draw.randint(-8, 8), draw.randint(-8, 8)
+        A = MonomialIsometry(Monomial(0, 0, i0, c0))
+        B = MonomialIsometry(Monomial(0, 0, i1, c1))
+        if i0 == i1 == 1 and (c0 + c1) % 2:
+            wold._check_cuntz(A, B)
+            accepted += 1
+        else:
+            with pytest.raises(CuntzRelationViolation):
+                wold._check_cuntz(A, B)
+            rejected += 1
+    assert accepted > 10 and rejected > 10
 
 
 @settings(deadline=None)
