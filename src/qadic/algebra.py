@@ -22,8 +22,8 @@ from fractions import Fraction
 
 from .errors import MemoryBudgetExceeded
 
-NUMERIC_EPS = 1e-12
 APPROX_EQ_TOL = 1e-9
+MAX_LEVEL = 1 << 13  # largest dom/range level of a monomial; 2^MAX_LEVEL prints
 MAX_NORMAL_FORM_NODES = 1 << 14  # trie nodes one normalization may split
 MAX_WINDOW = 1 << 16  # half-width of a basis window [-N, N] built as a table
 
@@ -53,8 +53,8 @@ class RationalComplex:
     def conjugate(self):
         return RationalComplex(self.re, -self.im)
 
-    def is_zero(self):
-        return self.re == 0 and self.im == 0
+    def __bool__(self):
+        return bool(self.re or self.im)
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
@@ -113,7 +113,8 @@ class Monomial:
     Sends basis index n to 2^(range_level - dom_level) * (n - dom_residue)
     + base_image when n = dom_residue (mod 2^dom_level), and kills it
     otherwise.  The map is a bijection from its domain class onto
-    base_image + 2^range_level Z.
+    base_image + 2^range_level Z.  Levels above MAX_LEVEL raise
+    MemoryBudgetExceeded before any 2^level integer is built.
     """
 
     dom_level: int
@@ -124,6 +125,8 @@ class Monomial:
     def __post_init__(self):
         if self.dom_level < 0 or self.range_level < 0:
             raise ValueError("levels must be non-negative")
+        if self.dom_level > MAX_LEVEL or self.range_level > MAX_LEVEL:
+            raise MemoryBudgetExceeded(f"a monomial level exceeds the budget of {MAX_LEVEL}")
         if not 0 <= self.dom_residue < (1 << self.dom_level):
             raise ValueError("dom_residue must be reduced mod 2^dom_level")
 
@@ -217,9 +220,12 @@ class Element:
     normal form keeps the coarsest partition of the domain into such
     classes on which the coefficient is constant (the maximal constant
     nodes), drops zero coefficients and sorts the terms.  So `==` on exact
-    elements is equality of the represented operators.  A normalization
-    that would visit more than MAX_NORMAL_FORM_NODES trie nodes raises
-    MemoryBudgetExceeded (the unique form of 1 + s^K s*^K has K + 1 terms).
+    elements is equality of the represented operators.  Numeric elements
+    follow the same rules with no tolerance (only exactly equal siblings
+    merge, only exact zeros drop), so 2^k scales a normal form exactly, and
+    `==` on them is plain term equality with no operator meaning.  A
+    normalization that would visit more than MAX_NORMAL_FORM_NODES trie
+    nodes raises MemoryBudgetExceeded (1 + s^K s*^K has K + 1 terms).
     """
 
     __slots__ = ("terms", "exact")
@@ -248,11 +254,8 @@ class Element:
 
     @classmethod
     def _single(cls, m: Monomial | None, c, exact: bool) -> "Element":
-        """c m, or zero when m is None or c is small; one term is canonical."""
-        e = cls({}, exact, _normalized=True)
-        if m is not None and not e._is_small(c):
-            e.terms[m] = c
-        return e
+        """c m, or zero when m is None or c is zero; one term is canonical."""
+        return cls({m: c} if m is not None and c else {}, exact, _normalized=True)
 
     @classmethod
     def sum(cls, elements) -> "Element":
@@ -277,12 +280,6 @@ class Element:
         return cls.monomial(IDENTITY, c)
 
     # -- canonical form ----------------------------------------------------
-
-    def _is_small(self, c) -> bool:
-        return c.is_zero() if self.exact else abs(c) <= NUMERIC_EPS
-
-    def _coeffs_equal(self, c1, c2) -> bool:
-        return c1 == c2 if self.exact else abs(c1 - c2) <= NUMERIC_EPS
 
     def _normalize(self):
         items = self.terms.items()
@@ -325,13 +322,13 @@ class Element:
                     if kids[0] in splits or kids[1] in splits:
                         continue
                     c0, c1 = (nodes.get(kid, zero) for kid in kids)
-                    if self._coeffs_equal(c0, c1):
+                    if c0 == c1:
                         splits.discard((e, q))
                         nodes.pop(kids[0], None)
                         nodes.pop(kids[1], None)
-                        nodes[e, q] = c0 if self.exact else (c0 + c1) / 2
+                        nodes[e, q] = c0
             for (d, q), c in nodes.items():
-                if not self._is_small(c):
+                if c:
                     terms[Monomial(j + d, r + (q << j), i + d, m0 + (q << i))] = c
         self.terms = dict(sorted(terms.items()))
 
@@ -381,15 +378,15 @@ class Element:
 
     def scale(self, c):
         c, c_exact = _coerce(c)
-        exact = self.exact and c_exact
-        if exact:
+        if self.exact and c_exact:
             return Element({m: v * c for m, v in self.terms.items()}, True)
-        cc = complex(c) if isinstance(c, RationalComplex) else c
-        return Element({m: (complex(v) if self.exact else v) * cc
-                        for m, v in self.terms.items()}, False)
+        cc = complex(c)
+        return Element({m: complex(v) * cc for m, v in self.terms.items()}, False)
 
     def adjoint(self) -> "Element":
-        return Element({m.adjoint(): c.conjugate() for m, c in self.terms.items()}, self.exact)
+        # adjoint maps every germ's trie isomorphically: sorted, it stays normal
+        return Element(sorted((m.adjoint(), c.conjugate()) for m, c in self.terms.items()),
+                       self.exact, _normalized=True)
 
     def power(self, n: int) -> "Element":
         if n < 0:
@@ -438,9 +435,7 @@ class Element:
                 vv = _coerce(vn)[0] if exact else complex(vn)
                 contrib = cc * vv
                 out[image] = out[image] + contrib if image in out else contrib
-        if exact:
-            return {n: v for n, v in out.items() if not v.is_zero()}
-        return {n: v for n, v in out.items() if abs(v) > NUMERIC_EPS}
+        return {n: v for n, v in out.items() if v}
 
     def matrix_window(self, half_width: int):
         """Sparse matrix of the element on basis indices [-N, N].
@@ -521,9 +516,9 @@ def _coeff_str(c, exact: bool) -> tuple[str, bool]:
         return str(-c if neg else c), neg
     neg = c.real < 0 or (c.real == 0 and c.imag < 0)
     d = -c if neg else c
-    if abs(d.imag) <= NUMERIC_EPS:
+    if d.imag == 0:
         return repr(d.real), neg
-    if abs(d.real) <= NUMERIC_EPS:
+    if d.real == 0:
         return f"{d.imag!r}i", neg
     sign = "+" if d.imag > 0 else "-"
     return f"({d.real!r}{sign}{abs(d.imag)!r}i)", neg

@@ -164,6 +164,8 @@ def _pair_terms(key1, xi1, key2, xi2):
     xi2(t m1/m2 + b) otherwise.  On the common grid both are the refined
     second leg moved by b lattice strides, so each value is one vdot of two
     sample slices, and each monomial one compose against a b-free factor.
+    Terms are kept above INNER_EPS times the pair's Cauchy-Schwarz bound
+    weight * h * |x1| |x2| on every shift, so the cutoff has no units.
     """
     (l1, k1e, m1e), (l2, k2e, m2e) = key1, key2
     shift_exp = m1e - m2e
@@ -189,6 +191,8 @@ def _pair_terms(key1, xi1, key2, xi2):
     x1, x2 = fine1.samples, base2.samples
     n1, n2 = len(x1), len(x2)
     weight, h = 2.0 ** m1e, fine1.h
+    norm1, norm2 = (math.sqrt(np.vdot(x, x).real) for x in (x1, x2))
+    floor = INNER_EPS * weight * h * norm1 * norm2
     out = []
     for b in range(lo, hi + 1):
         offset = base2.start_index - b * stride - fine1.start_index
@@ -197,7 +201,7 @@ def _pair_terms(key1, xi1, key2, xi2):
         va = x1[max(offset, 0):min(n1, offset + n2)]
         vb = x2[max(-offset, 0):min(n2, n1 - offset)]
         val = weight * complex(np.vdot(va, vb) * h)
-        if abs(val) > INNER_EPS:
+        if abs(val) > floor:
             mono = monomial(b)
             if mono is not None:
                 out.append((mono, val))

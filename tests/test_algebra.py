@@ -26,6 +26,7 @@ from qadic.algebra import (
     u,
     zero,
 )
+from qadic.errors import MemoryBudgetExceeded
 
 rng = random.Random(977)
 
@@ -61,7 +62,7 @@ def expand_to_level(e, level):
             frontier.append((c1, c))
         else:
             out[m] = out.get(m, RationalComplex()) + c
-    return {m: c for m, c in out.items() if not c.is_zero()}
+    return {m: c for m, c in out.items() if c}
 
 
 def l2_window_equal(e1, e2, half_width=64):
@@ -223,6 +224,17 @@ def test_adjoint_involutive_antimultiplicative():
         e1, e2 = random_element(), random_element()
         assert e1.adjoint().adjoint().equals(e1)
         assert (e1 * e2).adjoint().equals(e2.adjoint() * e1.adjoint())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_adjoint_of_a_normal_form_is_normal(rand, numeric):
+    e = random_overlapping_element(rand)
+    if numeric:  # float sums give coefficients that differ in the last bits
+        e = e.scale(1.0) + random_overlapping_element(rand).scale(rand.uniform(-1, 1) * 1j)
+    raw = Element({m.adjoint(): c.conjugate() for m, c in e.terms.items()}, e.exact)
+    assert e.adjoint().exact == e.exact
+    assert list(e.adjoint().terms.items()) == list(raw.terms.items())
 
 
 def test_oracle_equivalence_random_pairs():
@@ -417,18 +429,33 @@ def test_matrix_window_parity_diagonal():
 # -- numeric mode ---------------------------------------------------------------------
 
 
-def test_numeric_promotion_and_zero_threshold():
+def test_numeric_promotion_and_exact_cancellation():
     e = u().scale(0.5) + u().scale(0.5) - u()
     assert not e.exact
     assert e.is_zero()
-    assert (u().scale(1.0 + 1e-15) - u()).is_zero()
+    # no absolute cutoff: a difference of one ulp is a term
+    ulp = u().scale(1.0 + 2.0 ** -52) - u()
+    assert list(ulp.terms.items()) == [(Monomial(0, 0, 0, 1), 2.0 ** -52 + 0j)]
 
 
-def test_numeric_product_underflows_to_zero():
+def test_numeric_product_keeps_small_coefficients():
     small = u().scale(1e-7)
-    assert (small * small).is_zero()
-    assert not (small * small).exact
-    assert small.power(2).is_zero()
+    for product in (small * small, small.power(2)):
+        assert not product.exact
+        assert list(product.terms.items()) == [(Monomial(0, 0, 0, 2), 1e-7 * 1e-7 + 0j)]
+    assert str(u().scale(1e-13 + 1e-14j)) == "(1e-13+1e-14i) u"
+    assert u().scale(1e-300).apply({0: 1e-20}) == {1: 1e-320 + 0j}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(-60, 60), st.integers(0, 2))
+def test_numeric_normal_form_commutes_with_powers_of_two(rand, k, extra):
+    # split to a finer level and scaled by 2^k, a numeric element merges
+    # back to its exact normal form's terms scaled by 2^k, bit for bit
+    e = random_overlapping_element(rand)
+    split = expand_to_level(e, _max_level(e) + extra)
+    got = Element({m: complex(c) * 2.0 ** k for m, c in split.items()}, exact=False)
+    assert list(got.terms.items()) == [(m, complex(c) * 2.0 ** k) for m, c in e.terms.items()]
 
 
 def test_approx_equals():
@@ -475,6 +502,18 @@ def test_raw_rational_coefficients_are_coerced():
     assert half == one().scale(Fraction(1, 2))
 
 
+def test_monomial_level_budget():
+    # the largest admitted level still prints within Python's int-to-str limit
+    top = algebra.MAX_LEVEL
+    assert str(Monomial(top, (1 << top) - 1, top, 0)).startswith(f"s^{top} s*^{top} u^-")
+    for fields in [(top + 1, 0, 0, 0), (0, 0, top + 1, 0)]:
+        with pytest.raises(MemoryBudgetExceeded):
+            Monomial(*fields)
+    term = {"j": top + 1, "r": 0, "i": 0, "m0": 0, "q_re": "1", "q_im": "0"}
+    with pytest.raises(MemoryBudgetExceeded):
+        Element.from_json_dict({"exact": True, "terms": [term]})
+
+
 @pytest.mark.parametrize("coeff", [0.5, 1j])
 def test_float_coefficient_in_exact_element_raises(coeff):
     with pytest.raises(TypeError):
@@ -484,7 +523,7 @@ def test_float_coefficient_in_exact_element_raises(coeff):
 words = st.lists(st.sampled_from("uUsS"), min_size=0, max_size=4).map(
     lambda letters: functools.reduce(operator.mul, (GENERATORS[x] for x in letters), one()))
 rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
-coeffs = st.builds(RationalComplex, rationals, rationals).filter(lambda c: not c.is_zero())
+coeffs = st.builds(RationalComplex, rationals, rationals).filter(bool)
 one_term = st.builds(Element.scale, words, coeffs)
 multi_term = st.lists(one_term, min_size=2, max_size=3).map(Element.sum)
 

@@ -177,10 +177,16 @@ def compose_chain(*words):
 
 def per_shift_terms(key1, xi1, key2, xi2, large_left):
     """Reference terms: every shift b composes its four-monomial chain and
-    reindexes xi2 afresh, and inner() refines both legs again."""
+    reindexes xi2 afresh, and inner() refines both legs again.  Terms are
+    kept above INNER_EPS times the Cauchy-Schwarz bound of the pair, with
+    both legs refined to the common grid 2^-g."""
     (l1, k1e, m1e), (l2, k2e, m2e) = key1, key2
     shift_exp = m1e - m2e
     p1, p2 = (l1, k1e, k1e, -l1), (l2, k2e, k2e, -l2)
+    g = max(xi1.spacing_exp, xi2.spacing_exp + shift_exp, shift_exp, 0)
+    norm1, norm2 = (math.sqrt(np.vdot(x, x).real)
+                    for x in (xi1.to_grid(g).samples, xi2.to_grid(g - shift_exp).samples))
+    floor = INNER_EPS * 2.0 ** m1e * 2.0 ** -g * norm1 * norm2
     out = []
     for b in range(-64, 65):
         if large_left:  # P1 S*^e U^-b P2, xi2(t m1/m2 + b)
@@ -192,7 +198,7 @@ def per_shift_terms(key1, xi1, key2, xi2, large_left):
         if mono is None:
             continue
         val = 2.0 ** m1e * inner(xi1, affine_reindex(xi2, shift_exp, shift))
-        if abs(val) > INNER_EPS:
+        if abs(val) > floor:
             out.append((mono, val))
     return out
 
@@ -530,3 +536,45 @@ def test_equivalence_residual_converges():
     coarse = equivalence_residual(f, d, c, *default_xis(6))
     fine = equivalence_residual(f, d, c, *default_xis(8))
     assert fine * 2 <= coarse
+
+
+def default_case_legs():
+    """(f, d, c, xi1, xi2) of the five default duality cases at g = G."""
+    f = BumpSymbol(0.0, 1.5)
+    return [(f, d, c, *default_xis()) for d, c, _ in EQUIV_CASES]
+
+
+def test_equivalence_residual_is_scale_free():
+    # the duality is unitary equivalence: scaling both vectors by 2^k
+    # changes no bit of the residual
+    for f, d, c, xi1, xi2 in default_case_legs():
+        base = equivalence_residual(f, d, c, xi1, xi2)
+        for k in range(-60, 61):
+            scaled = equivalence_residual(f, d, c, xi1.scale(2.0 ** k), xi2.scale(2.0 ** k))
+            assert scaled == base, (d, c, k)
+
+
+def test_equivalence_residual_ignores_unit_phases():
+    phase_rng = random.Random(314)
+    for f, d, c, xi1, xi2 in default_case_legs():
+        base = equivalence_residual(f, d, c, xi1, xi2)
+        for _ in range(4):
+            z1, z2 = (cmath.exp(1j * phase_rng.uniform(0, 2 * math.pi)) for _ in range(2))
+            got = equivalence_residual(f, d, c, xi1.scale(z1), xi2.scale(z2))
+            assert abs(got - base) <= 1e-15, (d, c, z1, z2)
+
+
+def test_algebra_inner_is_conjugate_homogeneous():
+    # algebra_inner(lam phi1, phi2) = conj(lam) algebra_inner(phi1, phi2):
+    # the same monomials at every scale, coefficients to roundoff
+    lams = [10.0 ** e * cmath.exp(1j * e) for e in np.linspace(-9, 9, 10)]
+    for f, d, c, xi1, xi2 in default_case_legs():
+        phi1 = BimoduleElement.simple(0, 0, xi1)
+        phi2 = left_action(f, d, c, BimoduleElement.simple(0, 0, xi2))
+        base = algebra_inner(phi1, phi2)
+        for lam in lams:
+            got = algebra_inner(phi1.scale(lam), phi2)
+            assert list(got.terms) == list(base.terms), (d, c, lam)
+            bound = 1e-12 * abs(lam) * norm(xi1) * norm(xi2)
+            assert all(abs(got.terms[m] - lam.conjugate() * v) <= bound
+                       for m, v in base.terms.items()), (d, c, lam)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qadic import algebra, cli
+from qadic import algebra, cli, grid
 from qadic.algebra import RationalComplex, one, projection, s, s_adj, u, zero
 from qadic.cli import (
     RunConfig,
@@ -123,15 +123,41 @@ def test_sum_form_does_not_depend_on_term_order():
     assert str(parse_expr(forward)) == str(parse_expr(backward)) == "2 s s* + u s s* u^-1"
 
 
+def three_deep_germs(k):
+    """1 + s^k s*^k on three germs: 3k split nodes, 3k + 3 terms."""
+    deep = f"s^{k} s*^{k}"
+    return f"1 + {deep} + u + u {deep} + u^2 + u^2 {deep}"
+
+
 def test_deep_normal_form_fails_fast(capsys):
     # the unique form of 1 + s^K s*^K has K + 1 terms
     assert len(parse_expr("1 + s^64 s*^64").terms) == 65
-    start = time.perf_counter()
-    with pytest.raises(MemoryBudgetExceeded):
-        parse_expr("1 + s^100000 s*^100000")
-    assert time.perf_counter() - start < 1.0
-    assert main(["normalize", "1 + s^100000 s*^100000"]) == 3
+    k = algebra.MAX_NORMAL_FORM_NODES // 3
+    assert k < algebra.MAX_LEVEL
+    assert len(parse_expr(three_deep_germs(k)).terms) == 3 * k + 3
+    # levels past MAX_LEVEL trip the level budget first; under it, one more
+    # level per germ trips the node budget
+    for src, budget in [("1 + s^100000 s*^100000", "level"),
+                        (three_deep_germs(k + 1), "trie nodes")]:
+        start = time.perf_counter()
+        with pytest.raises(MemoryBudgetExceeded, match=budget):
+            parse_expr(src)
+        assert time.perf_counter() - start < 1.0
+        assert main(["normalize", src]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["apply", "s^1000000", "--basis", "3"],
+    ["normalize", "s^3000000000"],
+    ["normalize", f"s*^{algebra.MAX_LEVEL + 1}"],
+])
+def test_level_budget_exits_fast(argv, capsys):
+    # refused before a 2^level integer is built or printed
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "MemoryBudgetExceeded" in capsys.readouterr().err
 
 
 def test_large_power_parses_in_logarithmic_products(monkeypatch):
@@ -320,9 +346,9 @@ def test_cmd_duality_memory_budget_exit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["wold", "--s0", "s", "--s1", "u s", "-N", "131072"],
-    ["matrix", "u s", "-N", "131072"],
-    ["duality", "-g", "12", "-N", "4096"],
+    ["wold", "--s0", "s", "--s1", "u s", "-N", str(2 * algebra.MAX_WINDOW)],
+    ["matrix", "u s", "-N", str(2 * algebra.MAX_WINDOW)],
+    ["duality", "-g", "12", "-N", str(grid.MAX_PLAIN_FFT >> 12)],
 ])
 def test_window_budgets_exit_fast(argv, capsys):
     # refused before any table, matrix or sample array is built

@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 LIBRARY = Path(__file__).resolve().parents[1] / "src" / "qadic"
+TESTS = Path(__file__).resolve().parent
 
 
 def test_library_code_has_no_assert():
@@ -51,3 +52,13 @@ def test_every_error_type_is_raised_or_caught():
             elif isinstance(node, ast.ExceptHandler) and node.type is not None:
                 used |= _names(node.type)
     assert declared and sorted(declared - used) == []
+
+
+def test_every_budget_has_a_test():
+    # a MAX_* budget that no test names can drift or break unseen
+    budgets = [(path.name, target.id) for path in sorted(LIBRARY.glob("*.py"))
+               for node in ast.parse(path.read_text()).body if isinstance(node, ast.Assign)
+               for target in node.targets
+               if isinstance(target, ast.Name) and target.id.startswith("MAX_")]
+    tests = "\n".join(path.read_text() for path in sorted(TESTS.rglob("*.py")))
+    assert budgets and [f"{name}:{budget}" for name, budget in budgets if budget not in tests] == []
