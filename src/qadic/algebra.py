@@ -147,6 +147,8 @@ class Monomial:
     def from_word(cls, a: int, i: int, j: int, b: int) -> "Monomial":
         if i < 0 or j < 0:
             raise ValueError("isometry exponents must be non-negative")
+        if i > MAX_LEVEL or j > MAX_LEVEL:  # before 2^i or 2^j is built
+            raise MemoryBudgetExceeded(f"a monomial level exceeds the budget of {MAX_LEVEL}")
         r = (-b) % (1 << j)
         m0 = (((r + b) >> j) << i) + a
         return cls(j, r, i, m0)

@@ -5,11 +5,13 @@ Elements are finite sums of elementary tensors
     1_{l + k Z_2}  (x)  xi  (x)  1_{m}
 
 with k in {1, 2, 4, ...}, xi a grid function on R and m a (possibly
-negative) power of two.  The right action of the shift/isometry algebra
-substitutes coordinates, the left action of the function-crossed-product
-algebra combines an exact 2-adic phase with the twisted correlation of the
-grid module, and the algebra-valued inner product lands in the numeric
-mode of the symbolic algebra.
+negative) power of two.  The right action of a word u^a s^i s*^j u^b is
+one substitution of coordinates per tensor, the left action of the
+function-crossed-product algebra combines an exact 2-adic phase with the
+twisted correlation of the grid module, and the algebra-valued inner
+product lands in the numeric mode of the symbolic algebra.  The induced
+space X (x)_A l^2(Z) needs no container of its own: phi (x) e_n =
+phi . u^n (x) e_0, so its vectors are module elements paired at e_0.
 
 The inner product of a tensor pair is one kernel.  Both legs are refined
 once to a common grid; every shift's coefficient is then a vdot of two
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import grid as gridmod
 from .algebra import Element, Monomial, compose
-from .grid import GridFunction, affine_reindex, inner, translate, twisted_correlation
+from .grid import GridFunction, affine_reindex, inner, twisted_correlation
 from .numbers import (
     DyadicRational,
     PadicInt,
@@ -95,49 +97,26 @@ class BimoduleElement:
             total += gridmod.grid_sample(xi, t)[0]
         return total
 
-    # -- right action of the generators ----------------------------------------
-
-    def act_u(self, power: int = 1) -> "BimoduleElement":
-        """Substitute (z + n, t + n, a): class offset drops, xi shifts."""
-        out = {}
-        for (l, k_exp, m_exp), xi in self.tensors.items():
-            key = ((l - power) % (1 << k_exp), k_exp, m_exp)
-            moved = translate(xi, -power)
-            out[key] = out[key] + moved if key in out else moved
-        return BimoduleElement(out)
-
-    def act_s(self) -> "BimoduleElement":
-        """Substitute (2z, 2t, a/2); odd classes are annihilated."""
-        out = {}
-        for (l, k_exp, m_exp), xi in self.tensors.items():
-            if k_exp == 0:
-                key = (0, 0, m_exp + 1)
-            elif l % 2 == 0:
-                key = (l // 2, k_exp - 1, m_exp + 1)
-            else:
-                continue
-            moved = affine_reindex(xi, 1, 0)
-            out[key] = out[key] + moved if key in out else moved
-        return BimoduleElement(out)
-
-    def act_s_adj(self) -> "BimoduleElement":
-        """Substitute (z/2, t/2, 2a) against the even-class indicator."""
-        out = {}
-        for (l, k_exp, m_exp), xi in self.tensors.items():
-            key = ((2 * l) % (1 << (k_exp + 1)), k_exp + 1, m_exp - 1)
-            moved = affine_reindex(xi, -1, 0)
-            out[key] = out[key] + moved if key in out else moved
-        return BimoduleElement(out)
-
     def act_word(self, a: int, i: int, j: int, b: int) -> "BimoduleElement":
-        out = self.act_u(a) if a else self
-        for _ in range(i):
-            out = out.act_s()
-        for _ in range(j):
-            out = out.act_s_adj()
-        if b:
-            out = out.act_u(b)
-        return out
+        """Right action of u^a s^i s*^j u^b as one substitution.
+
+        The leg becomes t -> xi(2^(i-j) (t + b) + a).  The class offset
+        moves to l' = l - a; s^i halves it tau = min(i, k) times and kills
+        the tensor unless 2^tau divides l', s*^j doubles it j times, and u^b
+        moves it by -b, while the m-leg exponent gains i - j.
+        """
+        out = {}
+        shift = dyadic((a << j) + (b << i), j)
+        for (l, k_exp, m_exp), xi in self.tensors.items():
+            l = (l - a) % (1 << k_exp)
+            tau = min(i, k_exp)
+            if l % (1 << tau):
+                continue
+            k_new = k_exp - tau + j
+            key = ((((l >> tau) << j) - b) % (1 << k_new), k_new, m_exp + i - j)
+            moved = affine_reindex(xi, i - j, shift)
+            out[key] = out[key] + moved if key in out else moved
+        return BimoduleElement(out)
 
     def act(self, q: Element) -> "BimoduleElement":
         """Right action of an algebra element, term by term."""
@@ -264,59 +243,18 @@ def transform_eval(f, d: DyadicRational | int, c: PowerOfTwo, t: float,
 # -- induced vectors ------------------------------------------------------------------
 
 
-class InducedVector:
-    """Finite sum of simple tensors (module element) (x) basis vector."""
-
-    __slots__ = ("legs",)
-
-    def __init__(self, legs=None):
-        merged: dict[int, BimoduleElement] = {}
-        for n, phi in (legs or {}).items():
-            merged[n] = merged[n] + phi if n in merged else phi
-        self.legs = {n: phi for n, phi in sorted(merged.items()) if not phi.is_zero()}
-
-    def is_zero(self) -> bool:
-        return not self.legs
-
-    def scale(self, c: complex) -> "InducedVector":
-        return InducedVector({n: phi.scale(c) for n, phi in self.legs.items()})
-
-    def __add__(self, other):
-        out = dict(self.legs)
-        for n, phi in other.legs.items():
-            out[n] = out[n] + phi if n in out else phi
-        return InducedVector(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
+def induce(xi: GridFunction) -> BimoduleElement:
+    """The canonical embedding of a grid function: the full tensor at e_0."""
+    return BimoduleElement.simple(0, 0, xi, 0)
 
 
-def induce(xi: GridFunction) -> InducedVector:
-    """The canonical embedding of a grid function: full tensor at basis 0."""
-    if xi.is_zero():
-        return InducedVector()
-    return InducedVector({0: BimoduleElement.simple(0, 0, xi, 0)})
+def induced_inner(phi1: BimoduleElement, phi2: BimoduleElement) -> complex:
+    """<phi1 (x) e_0, phi2 (x) e_0> = <e_0, <phi1, phi2>_A e_0>."""
+    return algebra_inner(phi1, phi2).apply({0: 1.0}).get(0, 0j)
 
 
-def induced_inner(v1: InducedVector, v2: InducedVector) -> complex:
-    """Pairing through the algebra inner product and the basis representation."""
-    total = 0j
-    for n1, phi1 in v1.legs.items():
-        for n2, phi2 in v2.legs.items():
-            q = algebra_inner(phi1, phi2)
-            image = q.apply({n2: 1.0})
-            total += image.get(n1, 0j)
-    return total
-
-
-def induced_norm(v: InducedVector) -> float:
-    return math.sqrt(max(induced_inner(v, v).real, 0.0))
-
-
-def induced_act(f, d: DyadicRational | int, c: PowerOfTwo,
-                v: InducedVector) -> InducedVector:
-    """The induced representation: the left action on every module leg."""
-    return InducedVector({n: left_action(f, d, c, phi) for n, phi in v.legs.items()})
+def induced_norm(phi: BimoduleElement) -> float:
+    return math.sqrt(max(induced_inner(phi, phi).real, 0.0))
 
 
 def equivalence_residual(f, d: DyadicRational | int, c: PowerOfTwo,
@@ -326,7 +264,7 @@ def equivalence_residual(f, d: DyadicRational | int, c: PowerOfTwo,
     Compares <W xi1, Ind(f, d, c) W xi2> against
     <xi1, F (M_f T_d D_c) F^-1 xi2>, normalized by the vector norms.
     """
-    lhs = induced_inner(induce(xi1), induced_act(f, d, c, induce(xi2)))
+    lhs = induced_inner(induce(xi1), left_action(f, d, c, induce(xi2)))
     rhs = inner(xi1, gridmod.fourier(gridmod.rep_apply(
         f, d, c, gridmod.fourier_inv(xi2))))
     return abs(lhs - rhs) / (gridmod.norm(xi1) * gridmod.norm(xi2))

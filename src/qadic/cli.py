@@ -275,29 +275,39 @@ def parse_case_pow2(text: str) -> PowerOfTwo:
     return PowerOfTwo(_read_pow2(num) - k)
 
 
+def _field(spec, key: str):
+    """spec[key] for a case-file object; a non-object or a missing key is a
+    ValueError, so a malformed case file exits 2."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"expected an object, got {type(spec).__name__}")
+    if key not in spec:
+        raise ValueError(f"missing key {key!r}")
+    return spec[key]
+
+
 def build_symbol(spec: dict):
-    kind = spec.get("kind")
+    kind = _field(spec, "kind")
     if kind == "gaussian":
         return GaussianSymbol(spec.get("center", 0.0), spec.get("width", 1.0),
                               float(spec.get("modulation", 0.0)))
     if kind == "bump":
         return BumpSymbol(spec.get("center", 0.0), spec.get("radius", 1.0))
     if kind == "tabulated":
-        return TabulatedFourierPair(import_csv(spec["f_csv"]),
-                                    import_csv(spec["fcheck_csv"]))
+        return TabulatedFourierPair(import_csv(_field(spec, "f_csv")),
+                                    import_csv(_field(spec, "fcheck_csv")))
     raise ValueError(f"unknown symbol kind {kind!r}")
 
 
 def build_vector(spec: dict, config: RunConfig):
-    kind = spec.get("kind")
+    kind = _field(spec, "kind")
     if kind == "indicator":
-        return indicator(config.grid_exp, parse_case_dyadic(spec["lo"]),
-                         parse_case_dyadic(spec["hi"]))
+        return indicator(config.grid_exp, parse_case_dyadic(_field(spec, "lo")),
+                         parse_case_dyadic(_field(spec, "hi")))
     if kind in ("gaussian", "bump"):
         return sample_symbol(build_symbol(spec), config.grid_exp,
                              -config.window, config.window)
     if kind == "csv":
-        return import_csv(spec["path"], style=spec.get("style", "smooth"))
+        return import_csv(_field(spec, "path"), style=spec.get("style", "smooth"))
     raise ValueError(f"unknown vector kind {kind!r}")
 
 
@@ -312,25 +322,34 @@ def default_cases() -> list[dict]:
             for d, c, tol in entries]
 
 
+def _run_case(case: dict, config: RunConfig) -> dict:
+    f = build_symbol(_field(case, "f"))
+    d = parse_case_dyadic(_field(case, "d"))
+    c = parse_case_pow2(_field(case, "c"))
+    xi2 = build_vector(_field(case, "xi"), config)
+    xi1 = build_vector(case.get("xi1", case["xi"]), config)
+    tol = config.tol if config.tol is not None else float(case.get("tol", 1e-3))
+    residual = equivalence_residual(f, d, c, xi1, xi2)
+    return {
+        "case": {"f": {"kind": case["f"]["kind"],
+                       **{k: v for k, v in case["f"].items() if k != "kind"}},
+                 "d": str(d), "c": str(c)},
+        "residual": residual,
+        "tolerances": {"residual": tol},
+        "grid": {"g": config.grid_exp, "window": config.window},
+        "pass": bool(residual <= tol),
+    }
+
+
 def run_duality_cases(cases: list[dict], config: RunConfig) -> dict:
+    if not isinstance(cases, list) or not cases:
+        raise ValueError("a case file must hold a non-empty array of cases")
     results = []
-    for case in cases:
-        f = build_symbol(case["f"])
-        d = parse_case_dyadic(case["d"])
-        c = parse_case_pow2(case["c"])
-        xi2 = build_vector(case["xi"], config)
-        xi1 = build_vector(case.get("xi1", case["xi"]), config)
-        tol = config.tol if config.tol is not None else float(case.get("tol", 1e-3))
-        residual = equivalence_residual(f, d, c, xi1, xi2)
-        results.append({
-            "case": {"f": {"kind": case["f"]["kind"],
-                           **{k: v for k, v in case["f"].items() if k != "kind"}},
-                     "d": str(d), "c": str(c)},
-            "residual": residual,
-            "tolerances": {"residual": tol},
-            "grid": {"g": config.grid_exp, "window": config.window},
-            "pass": bool(residual <= tol),
-        })
+    for index, case in enumerate(cases):
+        try:
+            results.append(_run_case(case, config))
+        except ValueError as exc:
+            raise ValueError(f"case {index}: {exc}") from None
     return {
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "grid": {"g": config.grid_exp, "window": config.window},

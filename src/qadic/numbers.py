@@ -147,10 +147,6 @@ class PowerOfTwo:
     def __str__(self):
         return f"2^{self.exponent}"
 
-    @property
-    def is_integral(self) -> bool:
-        return self.exponent >= 0
-
 
 @dataclass(frozen=True)
 class PadicInt:

@@ -25,7 +25,6 @@ from qadic.algebra import (
 )
 from qadic.bimodule import (
     BimoduleElement,
-    InducedVector,
     algebra_inner,
     equivalence_residual,
     induce,
@@ -286,11 +285,11 @@ def test_c11_isometric_embedding():
         ok &= abs(lhs - inner(xi1, xi2)) <= 1e-6 * norm(xi1) * norm(xi2)
     xi = indicator(g, dyadic(1, 3), dyadic(7, 3))
     for k_exp in (1, 2, 3):
-        v_proj = InducedVector({0: BimoduleElement.simple(0, k_exp, xi, 0)})
-        v_full = InducedVector({0: BimoduleElement.simple(0, 0, xi, 0)})
+        v_proj = BimoduleElement.simple(0, k_exp, xi, 0)
+        v_full = BimoduleElement.simple(0, 0, xi, 0)
         ok &= induced_norm(v_proj - v_full) <= 1e-6 * norm(xi)
     for (l, k_exp) in [(1, 1), (1, 2), (3, 2)]:
-        v = InducedVector({0: BimoduleElement.simple(l, k_exp, xi, 0)})
+        v = BimoduleElement.simple(l, k_exp, xi, 0)
         ok &= induced_norm(v) <= 1e-6 * norm(xi)
     _report(11, "embedding is isometric; class projections collapse; "
             "off-class tensors vanish", ok)

@@ -2,6 +2,7 @@ import functools
 import json
 import operator
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -512,6 +513,19 @@ def test_monomial_level_budget():
     term = {"j": top + 1, "r": 0, "i": 0, "m0": 0, "q_re": "1", "q_im": "0"}
     with pytest.raises(MemoryBudgetExceeded):
         Element.from_json_dict({"exact": True, "terms": [term]})
+
+
+@pytest.mark.parametrize("word", [(0, 10**8, 0, 5), (0, 0, 10**8, 5)])
+def test_from_word_refuses_huge_levels_before_shifting(word):
+    # 2^(10^8) alone would take 12.5 MB; the budget check comes first
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetExceeded):
+            Monomial.from_word(*word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("coeff", [0.5, 1j])

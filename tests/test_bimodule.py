@@ -4,18 +4,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qadic import bimodule, grid
 from qadic.algebra import Monomial, compose, one, projection, s, s_adj, u
 from qadic.bimodule import (
     INNER_EPS,
     BimoduleElement,
-    InducedVector,
     _pair_terms,
     algebra_inner,
     equivalence_residual,
     induce,
-    induced_act,
     induced_inner,
     induced_norm,
     left_action,
@@ -73,7 +73,7 @@ def phi_distance(a: BimoduleElement, b: BimoduleElement) -> float:
 def test_act_u_full_class():
     xi = unit_bump(1, 3)
     phi = BimoduleElement.simple(0, 0, xi)
-    out = phi.act_u()
+    out = phi.act(u())
     assert set(out.tensors) == {(0, 0, 0)}
     # xi(t + 1): support moves one unit left
     lo, hi = out.tensors[(0, 0, 0)].support()
@@ -82,16 +82,16 @@ def test_act_u_full_class():
 
 def test_act_u_rotates_class():
     phi = BimoduleElement.simple(1, 1, unit_bump(0, 2))
-    out = phi.act_u()
+    out = phi.act(u())
     assert set(out.tensors) == {(0, 1, 0)}
-    back = out.act_u(-1)
+    back = out.act(u(-1))
     assert phi_distance(back, phi) == 0
 
 
 def test_act_u_pointwise():
     xi = unit_bump(0, 4)
     phi = BimoduleElement.simple(1, 2, xi, 0)
-    out = phi.act_u()
+    out = phi.act(u())
     for res in range(4):
         z = PadicInt(res, 8)
         for t in (0.125, 0.25, -0.75):
@@ -100,21 +100,21 @@ def test_act_u_pointwise():
 
 def test_act_s_examples():
     xi = unit_bump(0, 4)
-    out = BimoduleElement.simple(0, 0, xi).act_s()
+    out = BimoduleElement.simple(0, 0, xi).act(s())
     assert set(out.tensors) == {(0, 0, 1)}
     # xi(2t): support halves
     assert out.tensors[(0, 0, 1)].support()[1] == pytest.approx(
         xi.support()[1] / 2)
 
-    assert BimoduleElement.simple(1, 1, xi).act_s().is_zero()
+    assert BimoduleElement.simple(1, 1, xi).act(s()).is_zero()
 
-    out = BimoduleElement.simple(2, 2, xi).act_s()
+    out = BimoduleElement.simple(2, 2, xi).act(s())
     assert set(out.tensors) == {(1, 1, 1)}
 
 
 def test_act_s_adj_example():
     xi = unit_bump(0, 4)
-    out = BimoduleElement.simple(0, 0, xi, 1).act_s_adj()
+    out = BimoduleElement.simple(0, 0, xi, 1).act(s_adj())
     assert set(out.tensors) == {(0, 1, 0)}
     assert out.tensors[(0, 1, 0)].support()[1] == pytest.approx(xi.support()[1] * 2)
 
@@ -122,7 +122,7 @@ def test_act_s_adj_example():
 def test_act_s_pointwise():
     xi = unit_bump(0, 6)
     phi = BimoduleElement.simple(2, 2, xi, 0)
-    out = phi.act_s()
+    out = phi.act(s())
     for res in range(8):
         z = PadicInt(res, 8)
         for t in (0.125, 0.375):
@@ -133,7 +133,7 @@ def test_act_word_matches_generator_compositions():
     xi = unit_bump(1, 5)
     phi = BimoduleElement.simple(1, 1, xi, 0)
     via_word = phi.act(projection(0, 1))  # e_2 = s s*
-    via_steps = phi.act_s().act_s_adj()
+    via_steps = phi.act(s()).act(s_adj())
     assert phi_distance(via_word, via_steps) <= 1e-12
 
 
@@ -147,6 +147,65 @@ def test_act_associative_samples():
         lhs = phi.act(q1).act(q2)
         rhs = phi.act(q1 * q2)
         assert phi_distance(lhs, rhs) <= 1e-10
+
+
+def _merged(pairs):
+    out = {}
+    for key, xi in pairs:
+        out[key] = out[key] + xi if key in out else xi
+    return BimoduleElement(out)
+
+
+def ref_act_u(phi, power):
+    """Per-generator reference: (z + n, t + n, a); the class offset drops."""
+    return _merged((((l - power) % (1 << k), k, m), grid.translate(xi, -power))
+                   for (l, k, m), xi in phi.tensors.items())
+
+
+def ref_act_s(phi):
+    """Per-generator reference: (2z, 2t, a/2); odd classes are annihilated."""
+    return _merged((((l // 2, k - 1, m + 1) if k else (0, 0, m + 1)),
+                    affine_reindex(xi, 1, 0))
+                   for (l, k, m), xi in phi.tensors.items() if k == 0 or l % 2 == 0)
+
+
+def ref_act_s_adj(phi):
+    """Per-generator reference: (z/2, t/2, 2a) against the even-class indicator."""
+    return _merged((((2 * l) % (1 << (k + 1)), k + 1, m - 1), affine_reindex(xi, -1, 0))
+                   for (l, k, m), xi in phi.tensors.items())
+
+
+def ref_act_word(phi, a, i, j, b):
+    out = ref_act_u(phi, a)
+    for _ in range(i):
+        out = ref_act_s(out)
+    for _ in range(j):
+        out = ref_act_s_adj(out)
+    return ref_act_u(out, b)
+
+
+@st.composite
+def tensors(draw):
+    k = draw(st.integers(0, 4))
+    spacing = draw(st.integers(-3, 6))
+    style = draw(st.sampled_from(("step", "smooth")))
+    values = draw(st.lists(st.complex_numbers(max_magnitude=4, allow_nan=False,
+                                              allow_infinity=False), min_size=1, max_size=6))
+    xi = grid.GridFunction(spacing, draw(st.integers(-8, 8)), values, style)
+    return BimoduleElement.simple(draw(st.integers(0, (1 << k) - 1)), k, xi,
+                                  draw(st.integers(-3, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tensors(), st.integers(0, 7), st.integers(0, 3), st.integers(0, 3), st.integers(-5, 5))
+def test_act_word_is_the_per_generator_composition(phi, a, i, j, b):
+    # one substitution per tensor equals u^a, then s i times, then s* j
+    # times, then u^b; the reference may refine a leg further, which
+    # changes no sample on the common grid
+    got, want = phi.act_word(a, i, j, b), ref_act_word(phi, a, i, j, b)
+    assert list(got.tensors) == list(want.tensors)
+    for key, xi in got.tensors.items():
+        assert norm(xi - want.tensors[key]) == 0, key
 
 
 # -- algebra-valued inner product ------------------------------------------------
@@ -250,15 +309,14 @@ def test_inner_reads_shifts_without_grid_calls(monkeypatch):
     pairs = []
     for case in default_cases():
         f, d, c = build_symbol(case["f"]), parse_case_dyadic(case["d"]), parse_case_pow2(case["c"])
-        phi2 = induced_act(f, d, c, induce(build_vector(case["xi"], config))).legs[0]
-        pairs.append((induce(build_vector(case["xi1"], config)).legs[0], phi2))
+        phi2 = left_action(f, d, c, induce(build_vector(case["xi"], config)))
+        pairs.append((induce(build_vector(case["xi1"], config)), phi2))
     calls = dict.fromkeys(("translate", "inner"), 0)
-    for module in (bimodule, grid):
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(module, name)):
-                calls[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(module, name, counted)
+    for module, name in ((bimodule, "inner"), (grid, "translate"), (grid, "inner")):
+        def counted(*args, _name=name, _fn=getattr(module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
     for phi1, phi2 in pairs:
         assert not algebra_inner(phi1, phi2).is_zero()
     assert calls == {"translate": 0, "inner": 0}
@@ -445,7 +503,7 @@ def test_offclass_tensor_induces_null_vector():
     # 1_{l + k Z_2} (x) xi (x) 1_m against basis 0 vanishes unless l in k Z
     xi = unit_bump(0, 8)
     for (l, k_exp, m_exp) in [(1, 1, 0), (1, 2, 1), (3, 2, -1), (2, 2, 0)]:
-        v = InducedVector({0: BimoduleElement.simple(l, k_exp, xi, m_exp)})
+        v = BimoduleElement.simple(l, k_exp, xi, m_exp)
         if l % (1 << k_exp) == 0:
             assert induced_norm(v) > 0.1
         else:
@@ -457,8 +515,8 @@ def test_projected_tensor_equals_plain_tensor():
     # vector at basis 0
     xi = unit_bump(1, 7)
     for k_exp in (1, 2, 3):
-        v1 = InducedVector({0: BimoduleElement.simple(0, k_exp, xi, 0)})
-        v2 = InducedVector({0: BimoduleElement.simple(0, 0, xi, 0)})
+        v1 = BimoduleElement.simple(0, k_exp, xi, 0)
+        v2 = BimoduleElement.simple(0, 0, xi, 0)
         assert induced_norm(v1 - v2) <= 1e-9
 
 
@@ -466,9 +524,7 @@ def test_scaled_m_leg_lies_in_induced_range():
     # (1 (x) xi (x) 1_m) (x) eps_0 matches W(xi(. / m))
     xi = unit_bump(0, 8)
     for m_exp in (1, 2, -1):
-        phi = BimoduleElement.simple(0, 0, xi, m_exp)
-        v = InducedVector({0: phi})
-        from qadic.grid import affine_reindex
+        v = BimoduleElement.simple(0, 0, xi, m_exp)
         w = induce(affine_reindex(xi, -m_exp, 0))
         assert induced_norm(v - w) <= 1e-9
 
@@ -478,15 +534,15 @@ def test_induced_positivity_and_linearity():
     assert induced_inner(v, v).real >= -1e-8
     f, d, c = GaussianSymbol(0, 1.0), dyadic(1, 1), PowerOfTwo(1)
     v1, v2 = induce(unit_bump(0, 4)), induce(small_gaussian())
-    lhs = induced_act(f, d, c, v1 + v2)
-    rhs = induced_act(f, d, c, v1) + induced_act(f, d, c, v2)
+    lhs = left_action(f, d, c, v1 + v2)
+    rhs = left_action(f, d, c, v1) + left_action(f, d, c, v2)
     assert induced_norm(lhs - rhs) <= 1e-8
 
 
 def test_induced_act_norm_bound():
     f = GaussianSymbol(0.25, 0.7)
     v = induce(small_gaussian(0.3, 0.5))
-    out = induced_act(f, dyadic(1, 1), PowerOfTwo(1), v)
+    out = left_action(f, dyadic(1, 1), PowerOfTwo(1), v)
     assert induced_norm(out) <= (1 + 1e-6) * f.sup_estimate() * induced_norm(v) + 1e-9
 
 
@@ -494,8 +550,29 @@ def test_induced_act_near_identity():
     radius = 1.0 / 32
     f = BumpSymbol(0.0, radius)
     v = induce(sample_symbol(GaussianSymbol(0.5, 2.0), G, -8, 8))
-    out = induced_act(f, 0, PowerOfTwo(0), v)
+    out = left_action(f, 0, PowerOfTwo(0), v)
     assert induced_norm(out - v.scale(radius)) <= 5e-3 * radius * induced_norm(v)
+
+
+def test_induced_inner_reads_basis_pairs_through_u():
+    # phi (x) e_n = phi . u^n (x) e_0: the pairing of two basis legs is the
+    # pairing at e_0 of the module elements moved by u^n
+    pair_rng = random.Random(2718)
+    legs = [unit_bump(0, 4), sample_symbol(GaussianSymbol(0.3, 2.0), G, -8, 8),
+            sample_symbol(GaussianSymbol(-0.5, 1.5), G - 1, -8, 8)]
+    nonzero = 0
+    for _ in range(120):
+        phi1, phi2 = (BimoduleElement.simple(
+            pair_rng.randrange(1 << k), k, pair_rng.choice(legs).scale(
+                cmath.exp(1j * pair_rng.uniform(0, 2 * math.pi))), pair_rng.randrange(-2, 3))
+            for k in (pair_rng.randrange(3), pair_rng.randrange(3)))
+        n1, n2 = pair_rng.randrange(-6, 7), pair_rng.randrange(-6, 7)
+        q = algebra_inner(phi1, phi2)
+        legacy = q.apply({n2: 1.0}).get(n1, 0j)
+        got = induced_inner(phi1.act(u(n1)), phi2.act(u(n2)))
+        assert abs(got - legacy) <= 1e-12 * abs(legacy), (n1, n2)
+        nonzero += abs(legacy) > 0
+    assert nonzero >= 10
 
 
 # -- the unitary-equivalence residual ------------------------------------------------

@@ -345,6 +345,26 @@ def test_cmd_duality_memory_budget_exit(tmp_path, capsys):
     assert "MemoryBudgetExceeded" in capsys.readouterr().err
 
 
+_CASE = {"f": {"kind": "bump"}, "d": "0", "c": "1", "xi": {"kind": "gaussian"}}
+
+
+@pytest.mark.parametrize("cases,message", [
+    ({}, "non-empty array"),
+    ([], "non-empty array"),
+    ([1], "case 0: expected an object"),
+    ([_CASE, {k: v for k, v in _CASE.items() if k != "f"}], "case 1: missing key 'f'"),
+    ([dict(_CASE, xi={"kind": "indicator", "lo": "0"})], "case 0: missing key 'hi'"),
+])
+def test_cmd_duality_malformed_case_file_exits_2(tmp_path, capsys, cases, message):
+    # exit 1 means a tolerance failure: a malformed file is an input error
+    path = tmp_path / "cases.json"
+    path.write_text(json.dumps(cases))
+    assert main(["duality", "--cases", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["wold", "--s0", "s", "--s1", "u s", "-N", str(2 * algebra.MAX_WINDOW)],
     ["matrix", "u s", "-N", str(2 * algebra.MAX_WINDOW)],

@@ -1,7 +1,8 @@
 import ast
 from pathlib import Path
 
-LIBRARY = Path(__file__).resolve().parents[1] / "src" / "qadic"
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = ROOT / "src" / "qadic"
 TESTS = Path(__file__).resolve().parent
 
 
@@ -62,3 +63,21 @@ def test_every_budget_has_a_test():
                if isinstance(target, ast.Name) and target.id.startswith("MAX_")]
     tests = "\n".join(path.read_text() for path in sorted(TESTS.rglob("*.py")))
     assert budgets and [f"{name}:{budget}" for name, budget in budgets if budget not in tests] == []
+
+
+def test_every_definition_is_referenced():
+    # a function, method or class that nothing names is dead code
+    defined = {(path.name, node.name) for path in sorted(LIBRARY.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))}
+    used = set()
+    for path in sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rsplit(".", 1)[-1])
+    assert defined and sorted(f"{f}:{name}" for f, name in defined if name not in used) == []
