@@ -94,18 +94,6 @@ def _exact_coeff(c) -> RationalComplex:
     return c
 
 
-def _power(base, n: int, one, mul):
-    """base^n by repeated squaring: about 2 log2(n) products."""
-    out = one
-    while n:
-        if n & 1:
-            out = mul(out, base)
-        n >>= 1
-        if n:
-            base = mul(base, base)
-    return out
-
-
 @dataclass(frozen=True, order=True)
 class Monomial:
     """A partial dyadic affine transformation of Z.
@@ -391,9 +379,17 @@ class Element:
                        self.exact, _normalized=True)
 
     def power(self, n: int) -> "Element":
+        """self^n by repeated squaring: about 2 log2(n) products."""
         if n < 0:
             raise ValueError("negative powers are not defined on general elements")
-        return _power(self, n, Element.one(), Element.__mul__)
+        out, base = Element.one(), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
 
     # -- predicates ----------------------------------------------------------
 
@@ -572,49 +568,18 @@ def mat_mul(A, B):
     return [[A[r][0] * B[0][c] + A[r][1] * B[1][c] for c in range(2)] for r in range(2)]
 
 
-def mat_add(A, B):
-    return [[A[r][c] + B[r][c] for c in range(2)] for r in range(2)]
-
-
 def mat_adjoint(A):
     return [[A[c][r].adjoint() for c in range(2)] for r in range(2)]
 
 
-def mat_scale(A, c):
-    return [[A[r][col].scale(c) for col in range(2)] for r in range(2)]
-
-
-def mat_identity():
-    return [[Element.one(), Element.zero()], [Element.zero(), Element.one()]]
-
-
-def mat_zero():
-    return [[Element.zero(), Element.zero()], [Element.zero(), Element.zero()]]
-
-
-_EMBED_U = [[Element.zero(), u()], [Element.one(), Element.zero()]]
-_EMBED_S = [[s(), u() * s()], [Element.zero(), Element.zero()]]
-
-
-def _mat_pow(A, n):
-    return _power(A, n, mat_identity(), mat_mul)
-
-
 def embed_2x2(e: Element):
-    """The unital *-homomorphism into 2x2 matrices determined by
+    """The *-isomorphism x -> [t_p* x t_q] onto 2x2 matrices over the algebra.
 
-    u -> [[0, u], [1, 0]],   s -> [[s, u s], [0, 0]],
-
-    extended linearly and multiplicatively.
+    t0 = s and t1 = u s form a Cuntz pair: t_p* t_q = delta_pq, and
+    t0 t0* + t1 t1* = 1 is the defining relation s s* + u s s* u* = 1.  So
+    the map is unital, multiplicative and *-preserving, with inverse
+    M -> sum t_p M_pq t_q*.  On the generators it reads
+    u -> [[0, u], [1, 0]] and s -> [[s, u s], [0, 0]].
     """
-    u_inv = mat_adjoint(_EMBED_U)
-    s_adj_mat = mat_adjoint(_EMBED_S)
-    out = mat_zero()
-    for m, c in e.terms.items():
-        a, i, j, b = m.word()
-        M = _mat_pow(_EMBED_U, a)  # a lies in [0, 2^i)
-        M = mat_mul(M, _mat_pow(_EMBED_S, i))
-        M = mat_mul(M, _mat_pow(s_adj_mat, j))
-        M = mat_mul(M, _mat_pow(_EMBED_U if b >= 0 else u_inv, abs(b)))
-        out = mat_add(out, mat_scale(M, c))
-    return out
+    pair = (s(), u() * s())
+    return [[tp.adjoint() * e * tq for tq in pair] for tp in pair]

@@ -31,17 +31,17 @@ import math
 import numpy as np
 
 from . import grid as gridmod
-from .algebra import Element, Monomial, compose
-from .grid import GridFunction, affine_reindex, inner, twisted_correlation
+from .algebra import MAX_NORMAL_FORM_NODES, Element, Monomial, compose
+from .errors import MemoryBudgetExceeded
+from .grid import GridFunction, affine_reindex, check_budget, inner, twisted_correlation
 from .numbers import (
     DyadicRational,
     PadicInt,
     PowerOfTwo,
     SolenoidPoint,
     as_dyadic,
-    as_padic,
-    character,
     dyadic,
+    solenoid_character,
 )
 
 INNER_EPS = 1e-14
@@ -207,17 +207,24 @@ def left_action(f, d: DyadicRational | int, c: PowerOfTwo,
     Per tensor: the power-of-two leg moves from m to m/c, the grid leg
     becomes the twisted correlation at ratio c/m, and the exact 2-adic
     phase splits the class indicator into subclasses at the denominator
-    level of m d / c, each with a root-of-unity coefficient.
+    level of m d / c, each with a root-of-unity coefficient.  More than
+    MAX_NORMAL_FORM_NODES subclasses, or legs over MAX_PLAIN_FFT samples in
+    all, raise MemoryBudgetExceeded before they are built.
     """
     d = as_dyadic(d)
     scalar = 2.0 ** (c.exponent / 2)
     out: dict[tuple[int, int, int], GridFunction] = {}
     for (l, k_exp, m_exp), xi in phi.tensors.items():
         w = dyadic(d.numerator, d.exponent - (m_exp - c.exponent))
+        big_exp = max(k_exp, w.exponent)
+        split = big_exp - k_exp  # the class splits into 2^split subclasses
+        if split >= MAX_NORMAL_FORM_NODES.bit_length():  # 2^split > budget, not built
+            raise MemoryBudgetExceeded(f"d = {d} splits a class into 2^{split} subclasses,"
+                                       f" over the budget of {MAX_NORMAL_FORM_NODES}")
         eta = twisted_correlation(f, d, PowerOfTwo(c.exponent - m_exp), xi)
         if eta.is_zero():
             continue
-        big_exp = max(k_exp, w.exponent)
+        check_budget(len(eta) << split, f"splitting into 2^{split} subclass legs")
         new_m = m_exp - c.exponent
         for offset in range(l % (1 << k_exp), 1 << big_exp, 1 << k_exp):
             phase = cmath.exp(-2j * math.pi * float((offset * w).frac_mod1()))
@@ -233,11 +240,9 @@ def transform_eval(f, d: DyadicRational | int, c: PowerOfTwo, t: float,
     at the groupoid point ((t, a), [r, x])."""
     if a.exponent != c.exponent:
         return 0j
-    d = as_dyadic(d)
-    twist = complex(character(as_padic(point.z) * d).inverse())
     fcheck = complex(np.asarray(f.fcheck_values(t)).ravel()[0])
-    return 2.0 ** (-c.exponent) * cmath.exp(2j * math.pi * (point.r + t) * float(d)) \
-        * twist * fcheck
+    return 2.0 ** (-c.exponent) * cmath.exp(2j * math.pi * t * float(as_dyadic(d))) \
+        * solenoid_character(point, d) * fcheck
 
 
 # -- induced vectors ------------------------------------------------------------------

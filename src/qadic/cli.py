@@ -153,24 +153,22 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "int":
             base = self.scalar()
-            base_kind = "scalar"
         elif tok[0] == "name":
             self.advance()
             if tok[1] == "u":
-                base, base_kind = algebra.u(), "u"
+                base = algebra.u()
             elif tok[1] == "s":
-                base, base_kind = algebra.s(), "s"
+                base = algebra.s()
             else:
-                base, base_kind = Element.scalar(RationalComplex(Fraction(0), Fraction(1))), "scalar"
+                base = Element.scalar(RationalComplex(Fraction(0), Fraction(1)))
         elif tok[0] == "lparen":
             self.advance()
             base = self.expr()
             self.expect("rparen")
-            base_kind = "group"
         else:
             raise ParseError(f"unexpected {tok[0]}", tok[2],
                              {"integer", "'u'", "'s'", "'i'", "'('"})
-        return self.trailers(base, base_kind, tok[2])
+        return self.trailers(base)
 
     def scalar(self) -> Element:
         num = self.expect("int")[1]
@@ -182,7 +180,7 @@ class _Parser:
             return Element.scalar(RationalComplex(Fraction(num, den)))
         return Element.scalar(RationalComplex(Fraction(num)))
 
-    def trailers(self, base: Element, base_kind: str, offset: int) -> Element:
+    def trailers(self, base: Element) -> Element:
         while True:
             tok = self.peek()
             if tok[0] == "adj":
@@ -193,14 +191,11 @@ class _Parser:
                 n = tok[1]
                 if n >= 0:
                     base = base.power(n)
-                elif base_kind == "u" or _is_translation(base):
+                elif _is_translation(base):  # u^k is unitary: its inverse is its adjoint
                     base = base.adjoint().power(-n)
-                elif base_kind == "s":
-                    raise ParseError("s has no inverse (proper isometry); use s^*",
-                                     tok[2], set())
                 else:
-                    raise ParseError("negative powers need a unitary translation base",
-                                     tok[2], set())
+                    raise ParseError("negative powers need a translation u^k"
+                                     " (s is a proper isometry; use s^*)", tok[2], set())
             else:
                 return base
 
@@ -285,13 +280,31 @@ def _field(spec, key: str):
     return spec[key]
 
 
+def _real(value) -> float:
+    """A finite float; strings, bools, NaN and infinities are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _value(spec, key: str, read, default=None):
+    """read(spec[key]) (or read(default) for an absent key); errors name the key."""
+    value = _field(spec, key) if default is None or key in spec else default
+    try:
+        return read(value)
+    except ValueError as exc:
+        raise ValueError(f"key {key!r}: {exc}") from None
+
+
 def build_symbol(spec: dict):
     kind = _field(spec, "kind")
     if kind == "gaussian":
-        return GaussianSymbol(spec.get("center", 0.0), spec.get("width", 1.0),
-                              float(spec.get("modulation", 0.0)))
+        return GaussianSymbol(_value(spec, "center", _real, 0.0),
+                              _value(spec, "width", _real, 1.0),
+                              _value(spec, "modulation", _real, 0.0))
     if kind == "bump":
-        return BumpSymbol(spec.get("center", 0.0), spec.get("radius", 1.0))
+        return BumpSymbol(_value(spec, "center", _real, 0.0), _value(spec, "radius", _real, 1.0))
     if kind == "tabulated":
         return TabulatedFourierPair(import_csv(_field(spec, "f_csv")),
                                     import_csv(_field(spec, "fcheck_csv")))
@@ -301,8 +314,8 @@ def build_symbol(spec: dict):
 def build_vector(spec: dict, config: RunConfig):
     kind = _field(spec, "kind")
     if kind == "indicator":
-        return indicator(config.grid_exp, parse_case_dyadic(_field(spec, "lo")),
-                         parse_case_dyadic(_field(spec, "hi")))
+        return indicator(config.grid_exp, _value(spec, "lo", parse_case_dyadic),
+                         _value(spec, "hi", parse_case_dyadic))
     if kind in ("gaussian", "bump"):
         return sample_symbol(build_symbol(spec), config.grid_exp,
                              -config.window, config.window)
@@ -324,11 +337,14 @@ def default_cases() -> list[dict]:
 
 def _run_case(case: dict, config: RunConfig) -> dict:
     f = build_symbol(_field(case, "f"))
-    d = parse_case_dyadic(_field(case, "d"))
-    c = parse_case_pow2(_field(case, "c"))
+    d = _value(case, "d", parse_case_dyadic)
+    c = _value(case, "c", parse_case_pow2)
     xi2 = build_vector(_field(case, "xi"), config)
-    xi1 = build_vector(case.get("xi1", case["xi"]), config)
-    tol = config.tol if config.tol is not None else float(case.get("tol", 1e-3))
+    xi1 = build_vector(case["xi1"], config) if "xi1" in case else xi2
+    for key, xi in (("xi", xi2), ("xi1", xi1)):
+        if xi.is_zero():  # its normalized matrix coefficient would be 0/0
+            raise ValueError(f"key {key!r}: the vector is zero on the grid")
+    tol = config.tol if config.tol is not None else _value(case, "tol", _real, 1e-3)
     residual = equivalence_residual(f, d, c, xi1, xi2)
     return {
         "case": {"f": {"kind": case["f"]["kind"],

@@ -45,6 +45,7 @@ from .numbers import DyadicRational, PowerOfTwo, as_dyadic
 
 _TAIL_CUTOFF = 1e-16
 _BAND_MARGIN = 3  # coarse cells kept beyond the significant band on each side
+_TRIG_MARGIN = 16  # zero samples padded on each side before a trigonometric refinement
 # longest transform over a whole period (2^24 points: 256 MiB per complex
 # array); g = 12 without dilation reaches it, spacing 2^-13 exceeds it
 MAX_PLAIN_FFT = 1 << 24
@@ -52,6 +53,13 @@ MAX_PLAIN_FFT = 1 << 24
 
 def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1)).bit_length()
+
+
+def check_budget(points: int, what: str) -> None:
+    """Refuse `what` before it is built when it needs more than MAX_PLAIN_FFT points."""
+    if points > MAX_PLAIN_FFT:
+        raise MemoryBudgetExceeded(
+            f"{what} needs {points} points, over the budget of {MAX_PLAIN_FFT}")
 
 
 class GridFunction:
@@ -98,8 +106,18 @@ class GridFunction:
 
     # -- refinement ------------------------------------------------------------
 
+    def _refined_length(self, levels: int) -> int:
+        """Length of the array the last of `levels` refinements allocates (an
+        upper bound: trimming is ignored); past the budget it raises first."""
+        n = len(self.samples)
+        for _ in range(levels if n else 0):
+            n = 2 * n if self.style == "step" else 2 * _next_pow2(n + 2 * _TRIG_MARGIN)
+            check_budget(n, f"refining to spacing 2^-{self.spacing_exp + levels}")
+        return n
+
     def refine(self) -> "GridFunction":
         """Double the sampling rate according to the style flag."""
+        self._refined_length(1)
         if self.is_zero():
             return GridFunction(self.spacing_exp + 1, 0, [], self.style)
         if self.style == "step":
@@ -108,11 +126,10 @@ class GridFunction:
         return self._refine_trig()
 
     def _refine_trig(self) -> "GridFunction":
-        margin = 16
         n = len(self.samples)
-        size = _next_pow2(n + 2 * margin)
+        size = _next_pow2(n + 2 * _TRIG_MARGIN)
         buf = np.zeros(size, dtype=complex)
-        buf[margin:margin + n] = self.samples
+        buf[_TRIG_MARGIN:_TRIG_MARGIN + n] = self.samples
         spec = np.fft.fft(buf)
         out = np.zeros(2 * size, dtype=complex)
         half = size // 2
@@ -121,12 +138,13 @@ class GridFunction:
         out[2 * size - half] = spec[half] / 2
         out[2 * size - half + 1:] = spec[half + 1:]
         fine = np.fft.ifft(out) * 2
-        return GridFunction(self.spacing_exp + 1, 2 * (self.start_index - margin),
+        return GridFunction(self.spacing_exp + 1, 2 * (self.start_index - _TRIG_MARGIN),
                             fine, "smooth")
 
     def to_grid(self, spacing_exp: int) -> "GridFunction":
         if spacing_exp < self.spacing_exp:
             raise ValueError("cannot coarsen a grid function")
+        self._refined_length(spacing_exp - self.spacing_exp)
         out = self
         while out.spacing_exp < spacing_exp:
             out = out.refine()
@@ -219,9 +237,7 @@ def sample_symbol(f, spacing_exp: int, lo: float, hi: float) -> GridFunction:
     """
     start = math.floor(lo * 2 ** spacing_exp)
     end = math.ceil(hi * 2 ** spacing_exp)
-    if end - start + 1 > MAX_PLAIN_FFT:
-        raise MemoryBudgetExceeded(
-            f"{end - start + 1} samples exceed the budget of {MAX_PLAIN_FFT} points")
+    check_budget(end - start + 1, f"sampling at spacing 2^-{spacing_exp}")
     x = (start + np.arange(end - start + 1)) * 2.0 ** (-spacing_exp)
     vals = np.asarray(f.f_values(x), dtype=complex)
     vals = np.where(np.abs(vals) < _TAIL_CUTOFF, 0, vals)
@@ -233,12 +249,7 @@ def sample_symbol(f, spacing_exp: int, lo: float, hi: float) -> GridFunction:
 
 def translate(xi: GridFunction, b: DyadicRational | int) -> GridFunction:
     """(T_b xi)(x) = xi(x - b); exact reindexing, refining if b is finer."""
-    b = as_dyadic(b)
-    if xi.is_zero():
-        return xi
-    out = xi.to_grid(max(xi.spacing_exp, b.exponent))
-    shift = b.numerator << (out.spacing_exp - b.exponent)
-    return GridFunction(out.spacing_exp, out.start_index + shift, out.samples, out.style)
+    return affine_reindex(xi, 0, -as_dyadic(b))
 
 
 def dilate(xi: GridFunction, a: PowerOfTwo) -> GridFunction:
@@ -323,9 +334,7 @@ def _dft(x: np.ndarray, size: int, sign: int) -> np.ndarray:
 
 def _plain_dft(x: np.ndarray, size: int, sign: int) -> np.ndarray:
     """_dft over the whole period, refused beyond MAX_PLAIN_FFT points."""
-    if size > MAX_PLAIN_FFT:
-        raise MemoryBudgetExceeded(
-            f"a {size}-point Fourier transform exceeds the budget of {MAX_PLAIN_FFT} points")
+    check_budget(size, "a Fourier transform over the whole period")
     return _dft(x, size, sign)
 
 
@@ -391,19 +400,21 @@ def twisted_correlation(f, d: DyadicRational | int, c: PowerOfTwo,
 
     The integral is truncated to the support of fcheck and evaluated as a
     Riemann sum whose nodes land exactly on a refinement of xi's grid; all
-    output points come from one FFT convolution.
+    output points come from one FFT convolution, refused beyond
+    MAX_PLAIN_FFT points before xi is refined.
     """
     d = as_dyadic(d)
     e = c.exponent
     g = xi.spacing_exp
     gs = g + max(0, e)            # quadrature grid for s
-    lookup = xi.to_grid(g + max(0, -e))
-    stride = 1 << (lookup.spacing_exp - g)
     slo, shi = f.fcheck_support()
     delta = 2.0 ** (-gs)
     m_lo, m_hi = math.ceil(slo / delta), math.floor(shi / delta)
-    if m_hi < m_lo or lookup.is_zero():
+    if m_hi < m_lo or xi.is_zero():
         return GridFunction(g, 0, [], "smooth")
+    check_budget(_next_pow2(xi._refined_length(max(0, -e)) + m_hi - m_lo), "the correlation")
+    lookup = xi.to_grid(g + max(0, -e))
+    stride = 1 << (lookup.spacing_exp - g)
     s_vals = np.arange(m_lo, m_hi + 1) * delta
     weights = delta * np.asarray(f.fcheck_values(s_vals), dtype=complex) \
         * np.exp(2j * np.pi * float(d) * s_vals)

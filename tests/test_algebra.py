@@ -546,3 +546,43 @@ multi_term = st.lists(one_term, min_size=2, max_size=3).map(Element.sum)
 @given(st.one_of(one_term, multi_term), st.integers(0, 8))
 def test_power_equals_repeated_product(e, n):
     assert e.power(n) == functools.reduce(operator.mul, [e] * n, one())
+
+
+_MAT_ONE = [[one(), zero()], [zero(), one()]]
+_MAT_U = [[zero(), u()], [one(), zero()]]
+_MAT_S = [[s(), u() * s()], [zero(), zero()]]
+
+
+def _mat_power(A, n):
+    out = _MAT_ONE
+    for _ in range(n.bit_length()):
+        if n & 1:
+            out = mat_mul(out, A)
+        A, n = mat_mul(A, A), n >> 1
+    return out
+
+
+def _embed_by_generators(terms):
+    """sum c U^a S^i S*^j U^b over the words, from the generator matrices alone."""
+    total = [[zero(), zero()], [zero(), zero()]]
+    for a, i, j, b, c in terms:
+        M = _MAT_ONE
+        for base, n in ((_MAT_U, a), (_MAT_S, i), (mat_adjoint(_MAT_S), j), (_MAT_U, b)):
+            M = mat_mul(M, _mat_power(base if n >= 0 else mat_adjoint(base), abs(n)))
+        total = [[total[r][k] + M[r][k].scale(c) for k in range(2)] for r in range(2)]
+    return total
+
+
+word_terms = st.lists(st.tuples(st.integers(-1000, 1000), st.integers(0, 6), st.integers(0, 6),
+                                st.integers(-1000, 1000), coeffs), min_size=1, max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(word_terms)
+def test_embedding_matches_generator_matrices(terms):
+    e = Element.sum(Element.from_word(a, i, j, b, c) for a, i, j, b, c in terms)
+    M = embed_2x2(e)
+    assert M == _embed_by_generators(terms)
+    pair = (s(), u() * s())
+    assert Element.sum(pair[p] * M[p][q] * pair[q].adjoint()
+                       for p in range(2) for q in range(2)) == e

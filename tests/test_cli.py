@@ -1,7 +1,13 @@
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
+import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -363,6 +369,55 @@ def test_cmd_duality_malformed_case_file_exits_2(tmp_path, capsys, cases, messag
     captured = capsys.readouterr()
     assert message in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+_HOSTILE = {
+    "radius-string": (dict(_CASE, f={"kind": "bump", "radius": "wide"}), 2,
+                      "case 0: key 'radius'"),
+    "width-bool": (dict(_CASE, xi={"kind": "gaussian", "width": True}), 2, "case 0: key 'width'"),
+    "empty-indicator": (dict(_CASE, xi={"kind": "indicator", "lo": "1", "hi": "1/2"}), 2,
+                        "case 0: key 'xi': the vector is zero"),
+    "far-gaussian": (dict(_CASE, xi1={"kind": "gaussian", "center": 1e9}), 2,
+                     "case 0: key 'xi1': the vector is zero"),
+    "fine-d": (dict(_CASE, d="1/2^100"), 3, "2^100 subclasses, over the budget"),
+    "dilation-up-12": (dict(_CASE, c="2^12"), 3, "MemoryBudgetExceeded"),
+    "dilation-down-12": (dict(_CASE, c="1/2^12"), 3, "MemoryBudgetExceeded"),
+    "half-d-dilation-up-12": (dict(_CASE, d="1/2", c="2^12"), 3, "MemoryBudgetExceeded"),
+    "half-d-dilation-down-8": (dict(_CASE, d="1/2", c="1/2^8"), 3, "MemoryBudgetExceeded"),
+}
+
+
+def _limit_address_space():
+    # a refusal that came too late shows as a MemoryError, not as a host out of memory
+    resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+
+@pytest.mark.parametrize("name", sorted(_HOSTILE))
+def test_hostile_case_file_exits_fast(tmp_path, name):
+    # a value that used to crash (exit 1, the tolerance-failure code), hang or
+    # exhaust memory is an input error (2) or a refused budget (3)
+    case, code, message = _HOSTILE[name]
+    path = tmp_path / "cases.json"
+    path.write_text(json.dumps([case]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    with open(tmp_path / "err.txt", "w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qadic.cli", "duality", "--cases", str(path)],
+            stdout=subprocess.DEVNULL, stderr=err, env=env, preexec_fn=_limit_address_space)
+        timer = threading.Timer(10.0, proc.kill)  # a hang fails below instead of blocking
+        timer.start()
+        _, status, usage = os.wait4(proc.pid, 0)
+        timer.cancel()
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        stderr = err.read()
+    assert proc.returncode == code, stderr
+    assert message in stderr and "Traceback" not in stderr
+    # CPU seconds of the whole process, start-up included: unlike wall time,
+    # they do not grow when other processes share the host
+    assert usage.ru_utime + usage.ru_stime < 1.0
+    assert usage.ru_maxrss < 200 << 10  # kilobytes
 
 
 @pytest.mark.parametrize("argv", [
