@@ -345,7 +345,7 @@ class Element:
 
     def __mul__(self, other):
         if not isinstance(other, Element):
-            return self.scale(other)
+            return NotImplemented
         t1, t2, exact = self._promote(other)
         if len(t1) == 1 and len(t2) == 1:
             (ma, ca), = t1.items()
@@ -360,11 +360,6 @@ class Element:
                 c = ca * cb
                 out[m] = out[m] + c if m in out else c
         return Element(out, exact)
-
-    def __rmul__(self, other):
-        if isinstance(other, Element):
-            return NotImplemented
-        return self.scale(other)
 
     def scale(self, c):
         c, c_exact = _coerce(c)

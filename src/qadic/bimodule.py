@@ -13,14 +13,18 @@ product lands in the numeric mode of the symbolic algebra.  The induced
 space X (x)_A l^2(Z) needs no container of its own: phi (x) e_n =
 phi . u^n (x) e_0, so its vectors are module elements paired at e_0.
 
-The inner product of a tensor pair is one kernel.  Both legs are refined
-once to a common grid; every shift's coefficient is then a vdot of two
-slices of those samples, read at a lattice stride, and its monomial one
-composition against a shift-independent factor.  When the left leg is the
-larger, the sum runs over shifts in (m2/m1) Z (integer powers of the
-translation appear only after scaling by m1/m2).  The module axioms pin
-this indexing; the test-suite checks them and compares each shift with
-its reindexed inner product and composed monomial chain.
+The inner product of a tensor pair is one kernel.  With e = m1e - m2e,
+up = max(e, 0) and down = max(-e, 0), the term at shift b is
+
+    P1 s*^up u^-b s^down P2,
+
+valued at the pairing of xi1 with t -> xi2(2^e t + 2^-down b).  Both legs
+are refined once to a common grid, on which that leg is the refined second
+leg moved by b lattice strides; every value is then one grid.overlap_vdot
+of the two sample runs, and every monomial one composition against the
+shift-independent factor P1 s*^up.  The module axioms pin this indexing;
+the test-suite checks them and compares each shift with its reindexed
+inner product and composed monomial chain.
 """
 
 from __future__ import annotations
@@ -83,9 +87,6 @@ class BimoduleElement:
     def __sub__(self, other):
         return self + other.scale(-1)
 
-    def __neg__(self):
-        return self.scale(-1)
-
     def eval(self, z: PadicInt, t: float, a_exp: int) -> complex:
         """Pointwise value at (z, (t, 2^a_exp))."""
         total = 0j
@@ -129,59 +130,38 @@ class BimoduleElement:
 # -- the algebra-valued inner product -------------------------------------------
 
 
-def _common_legs(xi1: GridFunction, xi2: GridFunction, shift_exp: int):
-    """xi1 and t -> xi2(2^shift_exp t), refined once to the grid on which
-    every shift is a whole number of samples of the second leg."""
-    g = max(xi1.spacing_exp, xi2.spacing_exp + shift_exp, shift_exp, 0)
-    return xi1.to_grid(g), affine_reindex(xi2.to_grid(g - shift_exp), shift_exp, 0)
-
-
 def _pair_terms(key1, xi1, key2, xi2):
     """Inner-product terms of one tensor pair: list of (Monomial, complex).
 
-    Term b pairs xi1 with xi2((t + b) m1/m2) when m1 <= m2 and with
-    xi2(t m1/m2 + b) otherwise.  On the common grid both are the refined
-    second leg moved by b lattice strides, so each value is one vdot of two
-    sample slices, and each monomial one compose against a b-free factor.
+    Term b (see the module notes) pairs xi1 with xi2(2^e t + 2^-down b).
+    On the common grid 2^-g that leg is the refined second leg moved by b
+    strides of 2^(g - up) samples, so each value is one overlap_vdot and
+    each monomial one compose against the b-free factor P1 s*^up.  The
+    shifts run over exactly those b whose refined sample runs overlap.
     Terms are kept above INNER_EPS times the pair's Cauchy-Schwarz bound
     weight * h * |x1| |x2| on every shift, so the cutoff has no units.
     """
     (l1, k1e, m1e), (l2, k2e, m2e) = key1, key2
-    shift_exp = m1e - m2e
-    s1lo, s1hi = xi1.support()
-    s2lo, s2hi = xi2.support()
-    fine1, base2 = _common_legs(xi1, xi2, shift_exp)
-    if shift_exp <= 0:
-        # P1 U^-b S^n P2 with n = m2e - m1e
-        lo = math.floor(s2lo * 2.0 ** -shift_exp - s1hi) - 1
-        hi = math.ceil(s2hi * 2.0 ** -shift_exp - s1lo) + 1
-        stride = 1 << fine1.spacing_exp
-        right = compose(Monomial.from_word(0, -shift_exp, 0, 0),
-                        Monomial.from_word(l2, k2e, k2e, -l2))
-        monomial = lambda b: compose(Monomial.from_word(l1, k1e, k1e, -l1 - b), right)
-    else:
-        # P1 S*^e U^-b P2 with e = m1e - m2e: shifts live in (m2/m1) Z
-        lo = math.floor(s2lo - s1hi * 2.0 ** shift_exp) - 1
-        hi = math.ceil(s2hi - s1lo * 2.0 ** shift_exp) + 1
-        stride = 1 << (fine1.spacing_exp - shift_exp)
-        left = compose(Monomial.from_word(l1, k1e, k1e, -l1),
-                       Monomial.from_word(0, 0, shift_exp, 0))
-        monomial = lambda b: compose(left, Monomial.from_word(l2 - b, k2e, k2e, -l2))
+    e = m1e - m2e
+    up, down = max(e, 0), max(-e, 0)
+    g = max(xi1.spacing_exp, xi2.spacing_exp + e, e, 0)
+    fine1, base2 = xi1.to_grid(g), affine_reindex(xi2.to_grid(g - e), e, 0)
     x1, x2 = fine1.samples, base2.samples
-    n1, n2 = len(x1), len(x2)
+    # the shifts whose sample runs overlap: -len(x2) < offset - b * stride < len(x1)
+    offset, stride = base2.start_index - fine1.start_index, 1 << (g - up)
+    lo, hi = (offset - len(x1)) // stride + 1, (offset + len(x2) - 1) // stride
+    left = compose(Monomial.from_word(l1, k1e, k1e, -l1), Monomial.from_word(0, 0, up, 0))
+    a, i, j, c = compose(Monomial.from_word(0, down, 0, 0),
+                         Monomial.from_word(l2, k2e, k2e, -l2)).word()
     weight, h = 2.0 ** m1e, fine1.h
     norm1, norm2 = (math.sqrt(np.vdot(x, x).real) for x in (x1, x2))
     floor = INNER_EPS * weight * h * norm1 * norm2
     out = []
     for b in range(lo, hi + 1):
-        offset = base2.start_index - b * stride - fine1.start_index
-        if offset >= n1 or -offset >= n2:
-            continue
-        va = x1[max(offset, 0):min(n1, offset + n2)]
-        vb = x2[max(-offset, 0):min(n2, n1 - offset)]
-        val = weight * complex(np.vdot(va, vb) * h)
+        val = weight * complex(gridmod.overlap_vdot(
+            x1, fine1.start_index, x2, base2.start_index - b * stride) * h)
         if abs(val) > floor:
-            mono = monomial(b)
+            mono = compose(left, Monomial.from_word(a - b, i, j, c))
             if mono is not None:
                 out.append((mono, val))
     return out

@@ -529,41 +529,41 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", help="print the canonical form of an expression")
     p.add_argument("expr")
     _common_options(p, top_level=False)
-    p.set_defaults(func=cmd_normalize)
+    p.set_defaults(func=cmd_normalize, formats=("text", "json"))
 
     p = sub.add_parser("eq", help="decide equality of two expressions")
     p.add_argument("expr1")
     p.add_argument("expr2")
     _common_options(p, top_level=False)
-    p.set_defaults(func=cmd_eq)
+    p.set_defaults(func=cmd_eq, formats=("text",))
 
     p = sub.add_parser("apply", help="apply an expression to a basis vector")
     p.add_argument("expr")
     p.add_argument("--basis", type=int, default=0)
     _common_options(p, top_level=False)
-    p.set_defaults(func=cmd_apply)
+    p.set_defaults(func=cmd_apply, formats=("text", "json", "csv"))
 
     p = sub.add_parser("expect", help="project onto the diagonal subalgebra")
     p.add_argument("expr")
     _common_options(p, top_level=False)
-    p.set_defaults(func=cmd_expect)
+    p.set_defaults(func=cmd_expect, formats=("text", "json"))
 
     p = sub.add_parser("matrix", help="export the windowed matrix of an expression")
     p.add_argument("expr")
     _common_options(p, top_level=False)
-    p.set_defaults(func=cmd_matrix)
+    p.set_defaults(func=cmd_matrix, formats=("text", "json", "csv"))
 
     p = sub.add_parser("wold", help="build and check the extension unitary")
     p.add_argument("--s0", required=True)
     p.add_argument("--s1", required=True)
     _common_options(p, top_level=False)
-    p.set_defaults(func=cmd_wold)
+    p.set_defaults(func=cmd_wold, formats=("text", "json"))
 
     p = sub.add_parser("duality", help="run the transport-verification case list")
     p.add_argument("--cases", default="default",
                    help="JSON case file, or 'default' for the built-in list")
     _common_options(p, top_level=False)
-    p.set_defaults(func=cmd_duality)
+    p.set_defaults(func=cmd_duality, formats=("text", "json"))
 
     return parser
 
@@ -576,6 +576,9 @@ def main(argv=None) -> int:
     if _PARSER is None:
         _PARSER = _build_arg_parser()
     args = _PARSER.parse_args(argv)
+    if args.format not in args.formats:  # checked before any input is read or written
+        print(f"error: {args.command} does not write --format {args.format}", file=sys.stderr)
+        return 2
     try:
         config = _config_from_args(args)
     except ValueError as exc:

@@ -178,11 +178,6 @@ class GridFunction:
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
 
 def grid_sample(src: GridFunction, x) -> np.ndarray:
     """Evaluate a grid function at query points, exactly when possible.
@@ -292,13 +287,16 @@ def inner(xi1: GridFunction, xi2: GridFunction) -> complex:
         return 0j
     g = max(xi1.spacing_exp, xi2.spacing_exp)
     a, b = xi1.to_grid(g), xi2.to_grid(g)
-    lo = max(a.start_index, b.start_index)
-    hi = min(a.start_index + len(a), b.start_index + len(b))
+    return complex(overlap_vdot(a.samples, a.start_index, b.samples, b.start_index) * a.h)
+
+
+def overlap_vdot(x1: np.ndarray, start1: int, x2: np.ndarray, start2: int):
+    """Sum of conj(x1) * x2 over the indices both runs cover, x1[k] and x2[k]
+    sitting at index start1 + k and start2 + k; 0j when they are disjoint."""
+    lo, hi = max(start1, start2), min(start1 + len(x1), start2 + len(x2))
     if hi <= lo:
         return 0j
-    va = a.samples[lo - a.start_index:hi - a.start_index]
-    vb = b.samples[lo - b.start_index:hi - b.start_index]
-    return complex(np.vdot(va, vb) * a.h)
+    return np.vdot(x1[lo - start1:hi - start1], x2[lo - start2:hi - start2])
 
 
 def norm(xi: GridFunction) -> float:
@@ -515,9 +513,6 @@ class BumpSymbol:
     def fcheck_support(self):
         return self.center - self.radius, self.center + self.radius
 
-    def sup_estimate(self):
-        return self.radius
-
 
 class TabulatedFourierPair:
     """A symbol given by samples of f and of its inverse transform.
@@ -546,9 +541,6 @@ class TabulatedFourierPair:
 
     def fcheck_support(self):
         return self.fcheck_grid.support()
-
-    def sup_estimate(self):
-        return float(np.max(np.abs(self.f_grid.samples))) if not self.f_grid.is_zero() else 0.0
 
 
 # -- CSV interchange -----------------------------------------------------------------

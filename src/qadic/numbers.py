@@ -45,17 +45,11 @@ class DyadicRational:
         n = (self.numerator << (e - self.exponent)) + (other.numerator << (e - other.exponent))
         return dyadic(n, e)
 
-    def __radd__(self, other):
-        return self + other
-
     def __neg__(self):
         return DyadicRational(-self.numerator, self.exponent)
 
     def __sub__(self, other):
         return self + (-as_dyadic(other))
-
-    def __rsub__(self, other):
-        return as_dyadic(other) + (-self)
 
     def __mul__(self, other):
         other = as_dyadic(other)
@@ -76,9 +70,6 @@ class DyadicRational:
     def frac_mod1(self) -> "DyadicRational":
         """Representative of this value mod 1, reduced into [0, 1)."""
         return dyadic(self.numerator - (self.floor() << self.exponent), self.exponent)
-
-    def is_zero(self) -> bool:
-        return self.numerator == 0
 
     def __str__(self):
         if self.exponent == 0:
@@ -104,12 +95,6 @@ def as_dyadic(x) -> DyadicRational:
         return x
     if isinstance(x, int):
         return dyadic(x, 0)
-    if isinstance(x, Fraction):
-        den = x.denominator
-        e = den.bit_length() - 1
-        if (1 << e) != den:
-            raise ValueError(f"{x} does not have a power-of-two denominator")
-        return dyadic(x.numerator, e)
     raise TypeError(f"cannot interpret {x!r} as a dyadic rational")
 
 
@@ -175,26 +160,14 @@ class PadicInt:
     def __add__(self, other):
         return self._binary(other, lambda a, b: a + b)
 
-    def __radd__(self, other):
-        return self + other
-
     def __sub__(self, other):
         return self._binary(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         return self._binary(other, lambda a, b: a * b)
 
-    def __rmul__(self, other):
-        return self * other
-
     def __neg__(self):
         return PadicInt(-self.residue, self.precision)
-
-    def __str__(self):
-        return f"{self.residue} (mod 2^{self.precision})"
 
 
 def as_padic_int(x, precision: int = DEFAULT_PRECISION) -> PadicInt:
@@ -234,27 +207,9 @@ class PadicNumber:
         u1, u2, v = self._align(other)
         return PadicNumber(u1 + u2, v)
 
-    def __radd__(self, other):
-        return self + other
-
-    def __neg__(self):
-        return PadicNumber(-self.unit, self.shift)
-
-    def __sub__(self, other):
-        return self + (-as_padic(other, self.precision))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = as_padic(other, self.precision)
         return PadicNumber(self.unit * other.unit, self.shift + other.shift)
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __str__(self):
-        return f"{self.unit.residue}/2^{self.shift} (unit mod 2^{self.precision})"
 
 
 def as_padic(x, precision: int = DEFAULT_PRECISION) -> PadicNumber:
@@ -312,9 +267,6 @@ class RootOfUnity:
 
     def __complex__(self):
         return cmath.exp(1j * TWO_PI * float(self.angle))
-
-    def __str__(self):
-        return f"e({self.angle})"
 
 
 def character(x: PadicNumber) -> RootOfUnity:

@@ -389,15 +389,22 @@ def test_embed_star_homomorphism_samples():
 
 def test_embed_large_exponent_by_squaring(monkeypatch):
     products = []
-    mul = algebra.mat_mul
-    monkeypatch.setattr(algebra, "mat_mul", lambda A, B: products.append(1) or mul(A, B))
-    M = embed_2x2(u(1000))  # [[0, u], [1, 0]]^1000 = u^500 on the diagonal
+    mul = Element.__mul__
+    monkeypatch.setattr(Element, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+
+    def embed_counted(e):
+        products.clear()
+        return embed_2x2(e), len(products)
+
+    _, small = embed_counted(u(1))
+    M, large = embed_counted(u(1000))  # [[0, u], [1, 0]]^1000 = u^500 on the diagonal
     assert M[0][0].equals(u(500)) and M[1][1].equals(u(500))
     assert M[0][1].is_zero() and M[1][0].is_zero()
     M = embed_2x2(u(-999))
     assert M[0][1].equals(u(-499)) and M[1][0].equals(u(-500))
     assert M[0][0].is_zero() and M[1][1].is_zero()
-    assert len(products) <= 64
+    # the cost of the embedding does not grow with the exponent
+    assert 0 < large == small
 
 
 def test_embed_unital():

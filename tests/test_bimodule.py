@@ -289,18 +289,37 @@ def test_inner_branches_equal_per_shift_reindexing(m1e, m2e):
 
 def test_inner_kernel_matches_chain_on_class_keys():
     # nonzero residue classes: the kernel's b-free factor must carry l1, l2
-    # exactly as the per-shift chain does
+    # exactly as the per-shift chain does, for legs at mixed spacings
     pair_rng = random.Random(1729)
-    xi1 = unit_bump(1, 5)
-    xi2 = sample_symbol(GaussianSymbol(-0.1, 0.4), G + 1, -2.0, 3.0)
     classes = [(l, k) for k in range(4) for l in range(1 << k)]
-    for m1e in range(-2, 3):
-        for m2e in range(-2, 3):
+    step_fine = unit_bump(1, 5)
+    gauss_finer = sample_symbol(GaussianSymbol(-0.1, 0.4), G + 1, -2.0, 3.0)
+    gauss = sample_symbol(GaussianSymbol(0.2, 0.5), G, -2.0, 2.0)
+    legs = [  # (xi1, xi2, m-exponent pairs)
+        (step_fine, gauss_finer, [(m1e, m2e) for m1e in range(-2, 3) for m2e in range(-2, 3)]),
+        # a smooth xi1 with a coarser step xi2
+        (gauss, indicator(1, dyadic(-1, 1), 1), [(e, 0) for e in range(-3, 4)]),
+        # coarse legs, where e = m1e - m2e or 0 sets the common grid; with
+        # dyadic step samples every Riemann sum is exact on any refinement,
+        # so the reference may pair them on its own per-shift grid
+        (grid.GridFunction(0, -1, [1, 2, 0.5], "step"),
+         grid.GridFunction(-1, -1, [0.5, 1j, 1], "step"), [(0, -e) for e in range(-3, 4)]),
+        (grid.GridFunction(-1, -1, [1, 1j, 0.5], "step"),
+         grid.GridFunction(-2, -1, [2, 1], "step"), [(e, 0) for e in range(-3, 4)]),
+    ]
+    winners = set()
+    for xi1, xi2, exponents in legs:
+        for m1e, m2e in exponents:
+            e = m1e - m2e
+            candidates = (xi1.spacing_exp, xi2.spacing_exp + e, e, 0)
+            if candidates.count(max(candidates)) == 1:
+                winners.add(candidates.index(max(candidates)))
             for _ in range(3):
                 (l1, k1e), (l2, k2e) = pair_rng.choice(classes), pair_rng.choice(classes)
                 key1, key2 = (l1, k1e, m1e), (l2, k2e, m2e)
                 assert _pair_terms(key1, xi1, key2, xi2) == \
-                    per_shift_terms(key1, xi1, key2, xi2, large_left=m1e > m2e), (key1, key2)
+                    per_shift_terms(key1, xi1, key2, xi2, large_left=e > 0), (key1, key2)
+    assert winners == {0, 1, 2, 3}  # every argument of the common grid's max wins once
 
 
 def test_inner_reads_shifts_without_grid_calls(monkeypatch):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from qadic import algebra, cli, grid
 from qadic.algebra import RationalComplex, one, projection, s, s_adj, u, zero
+from qadic.bimodule import equivalence_residual
 from qadic.cli import (
     RunConfig,
     default_cases,
@@ -24,7 +25,7 @@ from qadic.cli import (
     parse_expr,
 )
 from qadic.errors import MemoryBudgetExceeded, ParseError
-from qadic.numbers import dyadic
+from qadic.numbers import PowerOfTwo, dyadic
 
 rng = random.Random(271828)
 
@@ -97,6 +98,11 @@ def test_parse_errors_carry_offsets():
         parse_expr("(u")
     with pytest.raises(ParseError):
         parse_expr("u @ s")
+    for src, message, offset in [("u )", "trailing input", 2), ("1/0", "division by zero", 2),
+                                 ("(u + s)^-1", "translation", 7)]:  # a base of two terms
+        with pytest.raises(ParseError) as info:
+            parse_expr(src)
+        assert message in str(info.value) and info.value.offset == offset, src
 
 
 def test_parser_round_trip_random():
@@ -252,6 +258,11 @@ def test_cmd_apply(capsys):
     assert capsys.readouterr().out.strip() == "0"
 
 
+def test_cmd_apply_csv(capsys):
+    assert main(["apply", "u + 1/2 s", "--basis", "3", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["n,re,im", "4,1.0,0.0", "6,0.5,0.0"]
+
+
 def test_cmd_expect(capsys):
     assert main(["expect", "u"]) == 0
     assert capsys.readouterr().out.strip() == "0"
@@ -306,6 +317,23 @@ def test_cmd_config_error_exit(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,fmt", [
+    (["normalize", "("], "csv"),
+    (["expect", "("], "csv"),
+    (["wold", "--s0", "(", "--s1", "u s"], "csv"),
+    (["duality", "--cases", "missing.json"], "csv"),
+    (["eq", "(", "u"], "json"),
+    (["eq", "(", "u"], "csv"),
+])
+def test_unwritten_format_exits_2(tmp_path, capsys, argv, fmt):
+    # refused before the expression is parsed, the case file read or --out opened
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--format", fmt, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {argv[0]} does not write --format {fmt}\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_cmd_duality_default(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["--format", "json", "--out", str(out), "duality"])
@@ -349,6 +377,33 @@ def test_cmd_duality_memory_budget_exit(tmp_path, capsys):
     path.write_text(json.dumps(cases))
     assert main(["duality", "--cases", str(path)]) == 3
     assert "MemoryBudgetExceeded" in capsys.readouterr().err
+
+
+def test_cmd_duality_tabulated_symbol_and_step_csv_vector(tmp_path, capsys):
+    # a symbol read from sample files and a vector read as a step function;
+    # at c = 1/2 the vector is refined, where the step style changes the result
+    fcheck = grid.sample_symbol(grid.GaussianSymbol(), 6, -4.0, 4.0)
+    f = grid.fourier(fcheck)
+    xi = grid.indicator(6, 0, 1)
+    for name, samples in (("f", f), ("fcheck", fcheck), ("xi", xi)):
+        grid.export_csv(samples, tmp_path / f"{name}.csv")
+    case = {"f": {"kind": "tabulated", "f_csv": str(tmp_path / "f.csv"),
+                  "fcheck_csv": str(tmp_path / "fcheck.csv")},
+            "d": "0", "c": "1/2",
+            "xi": {"kind": "csv", "path": str(tmp_path / "xi.csv"), "style": "step"},
+            "xi1": {"kind": "gaussian", "center": 0.25, "width": 0.75}, "tol": 1e-2}
+    path, out = tmp_path / "cases.json", tmp_path / "report.json"
+    path.write_text(json.dumps([case]))
+    assert main(["duality", "--cases", str(path), "--format", "json", "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())["cases"][0]
+    assert report["case"]["f"]["kind"] == "tabulated"
+    xi1 = cli.build_vector(case["xi1"], RunConfig())
+    symbol = grid.TabulatedFourierPair(f, fcheck)
+    want = equivalence_residual(symbol, 0, PowerOfTwo(-1), xi1, xi)
+    smooth = equivalence_residual(symbol, 0, PowerOfTwo(-1), xi1, grid.GridFunction(
+        xi.spacing_exp, xi.start_index, xi.samples, "smooth"))
+    assert report["residual"] == want != smooth
 
 
 _CASE = {"f": {"kind": "bump"}, "d": "0", "c": "1", "xi": {"kind": "gaussian"}}

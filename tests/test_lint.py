@@ -81,3 +81,24 @@ def test_every_definition_is_referenced():
             elif isinstance(node, ast.alias):
                 used.add(node.name.rsplit(".", 1)[-1])
     assert defined and sorted(f"{f}:{name}" for f, name in defined if name not in used) == []
+
+
+def test_no_unused_import():
+    # an import that nothing names is left behind by a deletion; a name
+    # listed in __all__ is re-exported, so it counts as used
+    found = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                 for elt in node.value.elts}
+        found += [f"{path.name}:{line}:{name}" for name, line in imported.items()
+                  if name not in used]
+    assert found == []
