@@ -192,7 +192,6 @@ def left_action(f, d: DyadicRational | int, c: PowerOfTwo,
     all, raise MemoryBudgetExceeded before they are built.
     """
     d = as_dyadic(d)
-    scalar = 2.0 ** (c.exponent / 2)
     out: dict[tuple[int, int, int], GridFunction] = {}
     for (l, k_exp, m_exp), xi in phi.tensors.items():
         w = dyadic(d.numerator, d.exponent - (m_exp - c.exponent))
@@ -205,6 +204,7 @@ def left_action(f, d: DyadicRational | int, c: PowerOfTwo,
         if eta.is_zero():
             continue
         check_budget(len(eta) << split, f"splitting into 2^{split} subclass legs")
+        scalar = 2.0 ** (c.exponent / 2)  # past the correlation's budget, so it is a float
         new_m = m_exp - c.exponent
         for offset in range(l % (1 << k_exp), 1 << big_exp, 1 << k_exp):
             phase = cmath.exp(-2j * math.pi * float((offset * w).frac_mod1()))

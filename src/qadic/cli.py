@@ -218,11 +218,11 @@ def parse_expr(src: str) -> Element:
 
 @dataclass
 class RunConfig:
+    """The numeric settings of `matrix`, `wold` and `duality`; each range is checked here."""
+
     grid_exp: int = 6
     window: int = 16
     tol: float | None = None
-    out: str | None = None
-    fmt: str = "text"
 
     def __post_init__(self):
         if not 3 <= self.grid_exp <= 12:
@@ -231,13 +231,6 @@ class RunConfig:
             raise ValueError("window must be a positive power of two")
         if self.tol is not None and self.tol <= 0:
             raise ValueError("tolerance must be positive")
-        if self.fmt not in ("text", "json", "csv"):
-            raise ValueError(f"unknown format {self.fmt!r}")
-
-
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(grid_exp=args.grid_exp, window=args.window, tol=args.tol,
-                     out=args.out, fmt=args.format)
 
 
 # -- case files --------------------------------------------------------------------
@@ -262,7 +255,12 @@ def _split_case_number(text) -> tuple[str, int]:
 
 def parse_case_dyadic(text: str):
     num, k = _split_case_number(text)
-    return dyadic(int(num), k)
+    value = dyadic(int(num), k)
+    try:
+        float(value)  # the grid layer reads it as a float
+    except OverflowError:
+        raise ValueError("too large for a float") from None
+    return value
 
 
 def parse_case_pow2(text: str) -> PowerOfTwo:
@@ -347,9 +345,7 @@ def _run_case(case: dict, config: RunConfig) -> dict:
     tol = config.tol if config.tol is not None else _value(case, "tol", _real, 1e-3)
     residual = equivalence_residual(f, d, c, xi1, xi2)
     return {
-        "case": {"f": {"kind": case["f"]["kind"],
-                       **{k: v for k, v in case["f"].items() if k != "kind"}},
-                 "d": str(d), "c": str(c)},
+        "case": {"f": dict(case["f"]), "d": str(d), "c": str(c)},
         "residual": residual,
         "tolerances": {"residual": tol},
         "grid": {"g": config.grid_exp, "window": config.window},
@@ -377,112 +373,103 @@ def run_duality_cases(cases: list[dict], config: RunConfig) -> dict:
 # -- output helpers ------------------------------------------------------------------
 
 
-def _emit(text: str, config: RunConfig) -> None:
-    if config.out:
-        with open(config.out, "w") as fh:
+def _emit(text: str, out: str | None) -> None:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
 
 
-def _vector_lines(vec: dict) -> list[str]:
-    lines = []
-    for n in sorted(vec):
-        c = vec[n]
-        lines.append(f"{n}: {c}")
-    return lines or ["0"]
+def _emit_element(e: Element, args) -> int:
+    _emit(json.dumps(e.to_json_dict(), sort_keys=True) if args.format == "json" else str(e),
+          args.out)
+    return 0
 
 
 # -- commands ----------------------------------------------------------------------
 
 
-def cmd_normalize(args, config: RunConfig) -> int:
-    e = parse_expr(args.expr)
-    if config.fmt == "json":
-        _emit(json.dumps(e.to_json_dict(), sort_keys=True), config)
-    else:
-        _emit(str(e), config)
-    return 0
+def cmd_normalize(args) -> int:
+    return _emit_element(parse_expr(args.expr), args)
 
 
-def cmd_eq(args, config: RunConfig) -> int:
+def cmd_eq(args) -> int:
     e1, e2 = parse_expr(args.expr1), parse_expr(args.expr2)
     equal = e1.equals(e2)
-    _emit("equal" if equal else "not equal", config)
+    _emit("equal" if equal else "not equal", args.out)
     return 0 if equal else 1
 
 
-def cmd_apply(args, config: RunConfig) -> int:
+def cmd_apply(args) -> int:
     e = parse_expr(args.expr)
     vec = e.apply({args.basis: 1})
-    if config.fmt == "json":
+    if args.format == "json":
         payload = [{"n": n, "re": float(complex(c).real), "im": float(complex(c).imag)}
                    for n, c in sorted(vec.items())]
-        _emit(json.dumps(payload), config)
-    elif config.fmt == "csv":
+        _emit(json.dumps(payload), args.out)
+    elif args.format == "csv":
         lines = ["n,re,im"] + [
             f"{n},{complex(c).real!r},{complex(c).imag!r}" for n, c in sorted(vec.items())]
-        _emit("\n".join(lines), config)
+        _emit("\n".join(lines), args.out)
     else:
-        _emit("\n".join(_vector_lines(vec)), config)
+        _emit("\n".join(f"{n}: {vec[n]}" for n in sorted(vec)) or "0", args.out)
     return 0
 
 
-def cmd_expect(args, config: RunConfig) -> int:
-    e = algebra.diagonal_expectation(parse_expr(args.expr))
-    if config.fmt == "json":
-        _emit(json.dumps(e.to_json_dict(), sort_keys=True), config)
-    else:
-        _emit(str(e), config)
-    return 0
+def cmd_expect(args) -> int:
+    return _emit_element(algebra.diagonal_expectation(parse_expr(args.expr)), args)
 
 
-def cmd_matrix(args, config: RunConfig) -> int:
+def cmd_matrix(args) -> int:
+    config = RunConfig(window=args.window)
     e = parse_expr(args.expr)
     entries, boundary_loss = e.matrix_window(config.window)
-    if config.fmt == "json":
+    if args.format == "json":
         payload = {"window": config.window, "boundary_loss": boundary_loss,
                    "entries": [{"row": r, "col": c, "re": v.real, "im": v.imag}
                                for (r, c), v in sorted(entries.items())]}
-        _emit(json.dumps(payload, sort_keys=True), config)
+        _emit(json.dumps(payload, sort_keys=True), args.out)
     else:
         lines = ["row,col,re,im"]
         lines += [f"{r},{c},{v.real!r},{v.imag!r}"
                   for (r, c), v in sorted(entries.items())]
-        _emit("\n".join(lines), config)
+        _emit("\n".join(lines), args.out)
     if boundary_loss:
         print("note: entries outside the window were dropped", file=sys.stderr)
     return 0
 
 
-def cmd_wold(args, config: RunConfig) -> int:
+def cmd_wold(args) -> int:
+    config = RunConfig(window=args.window)
     s0 = MonomialIsometry.from_element(parse_expr(args.s0))
     s1 = MonomialIsometry.from_element(parse_expr(args.s1))
     table = build_extension_unitary(s0, s1, config.window)
     checks = check_intertwining(table, s0, s1)
-    if config.fmt == "json":
+    if args.format == "json":
         payload = {"window": config.window,
                    "table": [{"n": n, "image": m, "re": a.real, "im": a.imag}
                              for n, (m, a) in sorted(table.items())],
                    "checks": checks}
-        _emit(json.dumps(payload, sort_keys=True), config)
+        _emit(json.dumps(payload, sort_keys=True), args.out)
     else:
         lines = [f"U e_{n} = " + (f"e_{m}" if a == 1 else f"({a}) e_{m}")
                  for n, (m, a) in sorted(table.items())]
         lines.append(f"U S0 = S1 on window: {'pass' if checks['US0=S1'] else 'FAIL'}")
         lines.append(f"S0 U = U^2 S0 on window: {'pass' if checks['S0U=U2S0'] else 'FAIL'}")
-        _emit("\n".join(lines), config)
+        _emit("\n".join(lines), args.out)
     return 0 if checks["US0=S1"] and checks["S0U=U2S0"] else 1
 
 
-def cmd_duality(args, config: RunConfig) -> int:
-    if args.cases and args.cases != "default":
+def cmd_duality(args) -> int:
+    config = RunConfig(grid_exp=args.grid_exp, window=args.window, tol=args.tol)
+    if args.cases == "default":
+        cases = default_cases()
+    else:
         with open(args.cases) as fh:
             cases = json.load(fh)
-    else:
-        cases = default_cases()
     report = run_duality_cases(cases, config)
-    if config.fmt == "text":
+    if args.format == "text":
         lines = []
         for r in report["cases"]:
             status = "pass" if r["pass"] else "FAIL"
@@ -490,81 +477,54 @@ def cmd_duality(args, config: RunConfig) -> int:
                          f"residual {r['residual']:.3e} "
                          f"(tol {r['tolerances']['residual']:.1e}) {status}")
         lines.append("all cases pass" if report["pass"] else "some cases FAILED")
-        _emit("\n".join(lines), config)
+        _emit("\n".join(lines), args.out)
     else:
-        _emit(json.dumps(report, indent=2, sort_keys=True), config)
+        _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
     return 0 if report["pass"] else 1
 
 
 # -- entry point --------------------------------------------------------------------
 
 
-def _common_options(parser: argparse.ArgumentParser, top_level: bool) -> None:
-    # registered on the main parser with real defaults and on every
-    # subparser with SUPPRESS, so the flags work on either side of the
-    # subcommand without the subparser clobbering earlier values
-    def default(value):
-        return value if top_level else argparse.SUPPRESS
-
-    parser.add_argument("-N", "--window", type=int, default=default(16),
-                        help="basis window half-width (power of two)")
-    parser.add_argument("-g", "--grid-exp", type=int, default=default(6),
-                        dest="grid_exp",
-                        help="grid resolution exponent (spacing 2^-g)")
-    parser.add_argument("--tol", type=float, default=default(None),
-                        help="override verification tolerance")
-    parser.add_argument("--format", choices=("text", "json", "csv"),
-                        default=default("text"))
-    parser.add_argument("--out", default=default(None),
-                        help="write output to this path")
-
-
 def _build_arg_parser() -> argparse.ArgumentParser:
+    # each command registers only the flags it reads; --format offers only
+    # the formats it writes, so argparse refuses the rest before any input
     parser = argparse.ArgumentParser(
         prog="qadic",
         description="workbench for the dyadic shift/translation operator algebra")
-    _common_options(parser, top_level=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("normalize", help="print the canonical form of an expression")
-    p.add_argument("expr")
-    _common_options(p, top_level=False)
-    p.set_defaults(func=cmd_normalize, formats=("text", "json"))
+    def command(name, func, help, *positionals, formats=("text", "json")):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        for dest in positionals:
+            p.add_argument(dest)
+        if len(formats) > 1:
+            p.add_argument("--format", choices=formats, default="text")
+        p.add_argument("--out", help="write output to this path")
+        return p
 
-    p = sub.add_parser("eq", help="decide equality of two expressions")
-    p.add_argument("expr1")
-    p.add_argument("expr2")
-    _common_options(p, top_level=False)
-    p.set_defaults(func=cmd_eq, formats=("text",))
+    command("normalize", cmd_normalize, "print the canonical form of an expression", "expr")
+    command("eq", cmd_eq, "decide equality of two expressions", "expr1", "expr2",
+            formats=("text",))
+    command("apply", cmd_apply, "apply an expression to a basis vector", "expr",
+            formats=("text", "json", "csv")).add_argument("--basis", type=int, default=0)
+    command("expect", cmd_expect, "project onto the diagonal subalgebra", "expr")
+    matrix = command("matrix", cmd_matrix, "export the windowed matrix of an expression", "expr",
+                     formats=("text", "json", "csv"))
+    wold = command("wold", cmd_wold, "build and check the extension unitary")
+    wold.add_argument("--s0", required=True)
+    wold.add_argument("--s1", required=True)
+    duality = command("duality", cmd_duality, "run the transport-verification case list")
+    duality.add_argument("--cases", default="default",
+                         help="JSON case file, or 'default' for the built-in list")
+    duality.add_argument("-g", "--grid-exp", type=int, default=RunConfig.grid_exp,
+                         help="grid resolution exponent (spacing 2^-g)")
+    duality.add_argument("--tol", type=float, help="override verification tolerance")
 
-    p = sub.add_parser("apply", help="apply an expression to a basis vector")
-    p.add_argument("expr")
-    p.add_argument("--basis", type=int, default=0)
-    _common_options(p, top_level=False)
-    p.set_defaults(func=cmd_apply, formats=("text", "json", "csv"))
-
-    p = sub.add_parser("expect", help="project onto the diagonal subalgebra")
-    p.add_argument("expr")
-    _common_options(p, top_level=False)
-    p.set_defaults(func=cmd_expect, formats=("text", "json"))
-
-    p = sub.add_parser("matrix", help="export the windowed matrix of an expression")
-    p.add_argument("expr")
-    _common_options(p, top_level=False)
-    p.set_defaults(func=cmd_matrix, formats=("text", "json", "csv"))
-
-    p = sub.add_parser("wold", help="build and check the extension unitary")
-    p.add_argument("--s0", required=True)
-    p.add_argument("--s1", required=True)
-    _common_options(p, top_level=False)
-    p.set_defaults(func=cmd_wold, formats=("text", "json"))
-
-    p = sub.add_parser("duality", help="run the transport-verification case list")
-    p.add_argument("--cases", default="default",
-                   help="JSON case file, or 'default' for the built-in list")
-    _common_options(p, top_level=False)
-    p.set_defaults(func=cmd_duality, formats=("text", "json"))
-
+    for p in (matrix, wold, duality):
+        p.add_argument("-N", "--window", type=int, default=RunConfig.window,
+                       help="basis window half-width (power of two)")
     return parser
 
 
@@ -576,16 +536,8 @@ def main(argv=None) -> int:
     if _PARSER is None:
         _PARSER = _build_arg_parser()
     args = _PARSER.parse_args(argv)
-    if args.format not in args.formats:  # checked before any input is read or written
-        print(f"error: {args.command} does not write --format {args.format}", file=sys.stderr)
-        return 2
     try:
-        config = _config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(args, config)
+        return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -117,13 +117,7 @@ class GridFunction:
 
     def refine(self) -> "GridFunction":
         """Double the sampling rate according to the style flag."""
-        self._refined_length(1)
-        if self.is_zero():
-            return GridFunction(self.spacing_exp + 1, 0, [], self.style)
-        if self.style == "step":
-            return GridFunction(self.spacing_exp + 1, 2 * self.start_index,
-                                np.repeat(self.samples, 2), "step")
-        return self._refine_trig()
+        return self.to_grid(self.spacing_exp + 1)
 
     def _refine_trig(self) -> "GridFunction":
         n = len(self.samples)
@@ -142,12 +136,18 @@ class GridFunction:
                             fine, "smooth")
 
     def to_grid(self, spacing_exp: int) -> "GridFunction":
-        if spacing_exp < self.spacing_exp:
+        levels = spacing_exp - self.spacing_exp
+        if levels < 0:
             raise ValueError("cannot coarsen a grid function")
-        self._refined_length(spacing_exp - self.spacing_exp)
+        if levels == 0:
+            return self
+        self._refined_length(levels)
+        if self.style == "step":  # duplication commutes: one repeat does every level
+            return GridFunction(spacing_exp, self.start_index << levels,
+                                np.repeat(self.samples, 1 << levels), "step")
         out = self
-        while out.spacing_exp < spacing_exp:
-            out = out.refine()
+        for _ in range(levels):
+            out = out._refine_trig()
         return out
 
     # -- linear structure ---------------------------------------------------------
@@ -406,9 +406,17 @@ def twisted_correlation(f, d: DyadicRational | int, c: PowerOfTwo,
     g = xi.spacing_exp
     gs = g + max(0, e)            # quadrature grid for s
     slo, shi = f.fcheck_support()
+    if xi.is_zero():
+        return GridFunction(g, 0, [], "smooth")
+    # at least (shi - slo) 2^gs - 1 >= 2^bits - 1 nodes: the budget decides on bits
+    # before 2^gs is formed, which no float holds past 2^1023
+    bits = math.frexp(shi - slo)[1] - 1 + gs if shi > slo else 0
+    if bits >= MAX_PLAIN_FFT.bit_length():
+        raise MemoryBudgetExceeded(f"the correlation needs over 2^{bits - 1} points,"
+                                   f" over the budget of {MAX_PLAIN_FFT}")
     delta = 2.0 ** (-gs)
     m_lo, m_hi = math.ceil(slo / delta), math.floor(shi / delta)
-    if m_hi < m_lo or xi.is_zero():
+    if m_hi < m_lo:
         return GridFunction(g, 0, [], "smooth")
     check_budget(_next_pow2(xi._refined_length(max(0, -e)) + m_hi - m_lo), "the correlation")
     lookup = xi.to_grid(g + max(0, -e))
@@ -453,8 +461,6 @@ class GaussianSymbol:
     fcheck(s) = width * exp(-pi width^2 (s - modulation)^2) * e(-(s - modulation) center).
     """
 
-    kind = "gaussian"
-
     def __init__(self, center: float = 0.0, width: float = 1.0, modulation=0):
         if width <= 0:
             raise ValueError("width must be positive")
@@ -489,8 +495,6 @@ class BumpSymbol:
     transform, a combination of three sinc terms times a phase.
     """
 
-    kind = "bump"
-
     def __init__(self, center: float = 0.0, radius: float = 1.0):
         if radius <= 0:
             raise ValueError("radius must be positive")
@@ -520,8 +524,6 @@ class TabulatedFourierPair:
     The pair must pass a round-trip check: the Fourier transform of the
     tabulated fcheck has to reproduce the tabulated f within check_tol.
     """
-
-    kind = "tabulated"
 
     def __init__(self, f_grid: GridFunction, fcheck_grid: GridFunction,
                  check_tol: float = 1e-6):

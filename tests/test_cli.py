@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -245,7 +246,7 @@ def test_cmd_normalize(capsys):
 
 
 def test_cmd_normalize_json(capsys):
-    assert main(["--format", "json", "normalize", "u"]) == 0
+    assert main(["normalize", "u", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data == {"exact": True, "terms": [{"j": 0, "r": 0, "i": 0, "m0": 1, "re": 1.0,
                                               "im": 0.0, "q_re": "1", "q_im": "0"}]}
@@ -272,7 +273,7 @@ def test_cmd_expect(capsys):
 
 def test_cmd_matrix(tmp_path, capsys):
     out = tmp_path / "matrix.csv"
-    assert main(["-N", "2", "--out", str(out), "matrix", "1"]) == 0
+    assert main(["matrix", "1", "-N", "2", "--out", str(out)]) == 0
     capsys.readouterr()
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "row,col,re,im"
@@ -280,13 +281,13 @@ def test_cmd_matrix(tmp_path, capsys):
 
 
 def test_cmd_matrix_boundary_note(capsys):
-    assert main(["-N", "2", "matrix", "u"]) == 0
+    assert main(["matrix", "u", "-N", "2"]) == 0
     err = capsys.readouterr().err
     assert "outside the window" in err
 
 
 def test_cmd_wold(capsys):
-    assert main(["-N", "16", "wold", "--s0", "s", "--s1", "u s"]) == 0
+    assert main(["wold", "--s0", "s", "--s1", "u s", "-N", "16"]) == 0
     out = capsys.readouterr().out
     assert "U e_0 = e_1" in out
     assert "pass" in out
@@ -312,9 +313,47 @@ def test_cmd_parse_error_exit(capsys):
     assert "parse error" in capsys.readouterr().err
 
 
-def test_cmd_config_error_exit(capsys):
-    assert main(["-N", "12", "normalize", "u"]) == 2
-    capsys.readouterr()
+def test_cmd_config_error_exit(tmp_path, capsys):
+    # flags go after the command name: the top-level parser takes none
+    out = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as info:
+        main(["-N", "12", "normalize", "u", "--out", str(out)])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "u", "-N", "64"],
+    ["normalize", "u", "-g", "10"],
+    ["normalize", "u", "--tol", "1e-9"],
+    ["eq", "u", "u", "-N", "16"],
+    ["apply", "u", "-g", "6"],
+    ["wold", "--s0", "s", "--s1", "u s", "--tol", "5"],
+])
+def test_unread_flag_exits_2(tmp_path, capsys, argv):
+    # a flag the command does not read is refused, not ignored
+    out = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", str(out)])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["matrix", "(", "-N", "12"], "window must be a positive power of two"),
+    (["wold", "--s0", "(", "--s1", "u s", "-N", "0"], "window must be a positive power of two"),
+    (["duality", "--cases", "missing.json", "-N", "12"], "window must be a positive power of two"),
+    (["duality", "--cases", "missing.json", "-g", "2"], "grid exponent must lie in [3, 12]"),
+    (["duality", "--cases", "missing.json", "-g", "13"], "grid exponent must lie in [3, 12]"),
+    (["duality", "--cases", "missing.json", "--tol", "-1"], "tolerance must be positive"),
+])
+def test_setting_out_of_range_exits_2(tmp_path, capsys, argv, message):
+    # refused before the expression is parsed, the case file read or --out opened
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("argv,fmt", [
@@ -328,15 +367,49 @@ def test_cmd_config_error_exit(capsys):
 def test_unwritten_format_exits_2(tmp_path, capsys, argv, fmt):
     # refused before the expression is parsed, the case file read or --out opened
     out = tmp_path / "out.txt"
-    assert main(argv + ["--format", fmt, "--out", str(out)]) == 2
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--format", fmt, "--out", str(out)])
+    assert info.value.code == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: {argv[0]} does not write --format {fmt}\n"
+    assert "--format" in captured.err
     assert captured.out == "" and not out.exists()
+
+
+_MINIMAL_ARGV = {"normalize": ["u"], "eq": ["u", "u"], "apply": ["u"], "expect": ["u"],
+                 "matrix": ["u"], "wold": ["--s0", "s", "--s1", "u s"], "duality": []}
+
+
+def test_every_flag_is_read_by_its_command(tmp_path, capsys):
+    # a flag that its command never reads does nothing; flags are registered
+    # on the commands alone, so the top-level parser has none
+    parser = cli._build_arg_parser()
+    assert [a.dest for a in parser._actions if a.option_strings and a.dest != "help"] == []
+    commands, = (a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    assert sorted(commands) == sorted(_MINIMAL_ARGV)
+    registered = 0
+    for name, sub in commands.items():
+        read = set()
+
+        class Recorder(argparse.Namespace):
+            def __getattribute__(self, attr):
+                read.add(attr)
+                return super().__getattribute__(attr)
+
+        args = parser.parse_args([name, *_MINIMAL_ARGV[name], "--out", str(tmp_path / "out")],
+                                 namespace=Recorder())
+        read.clear()  # parsing reads the namespace too
+        assert args.func(args) == 0
+        flags = {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
+        assert sorted(flags - read) == [], name
+        registered += len(flags)
+    assert registered == 22
+    capsys.readouterr()
 
 
 def test_cmd_duality_default(tmp_path, capsys):
     out = tmp_path / "report.json"
-    code = main(["--format", "json", "--out", str(out), "duality"])
+    code = main(["duality", "--format", "json", "--out", str(out)])
     capsys.readouterr()
     assert code == 0
     report = json.loads(out.read_text())
@@ -349,8 +422,15 @@ def test_cmd_duality_default(tmp_path, capsys):
 
 
 def test_cmd_duality_tolerance_failure(capsys):
-    assert main(["--tol", "1e-30", "duality"]) == 1
+    assert main(["duality", "--tol", "1e-30"]) == 1
     capsys.readouterr()
+
+
+def test_cmd_duality_empty_cases_path_exits_2(capsys):
+    # only the literal "default" selects the built-in cases
+    assert main(["duality", "--cases", ""]) == 2
+    captured = capsys.readouterr()
+    assert "No such file" in captured.err and captured.out == ""
 
 
 def test_cmd_duality_custom_cases(tmp_path, capsys):
@@ -439,6 +519,10 @@ _HOSTILE = {
     "dilation-down-12": (dict(_CASE, c="1/2^12"), 3, "MemoryBudgetExceeded"),
     "half-d-dilation-up-12": (dict(_CASE, d="1/2", c="2^12"), 3, "MemoryBudgetExceeded"),
     "half-d-dilation-down-8": (dict(_CASE, d="1/2", c="1/2^8"), 3, "MemoryBudgetExceeded"),
+    # dilations whose quadrature step 2^-gs overflows or underflows a float
+    **{f"dilation-up-{k}": (dict(_CASE, c=f"2^{k}"), 3, "MemoryBudgetExceeded")
+       for k in (1020, 1030, 1100, 2100, 5000, 1000000000)},
+    "huge-d": (dict(_CASE, d="1" + "0" * 400), 2, "case 0: key 'd': too large for a float"),
 }
 
 
@@ -490,8 +574,8 @@ def test_window_budgets_exit_fast(argv, capsys):
 
 def test_report_deterministic(tmp_path, capsys):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    main(["--format", "json", "--out", str(out1), "duality"])
-    main(["--format", "json", "--out", str(out2), "duality"])
+    main(["duality", "--format", "json", "--out", str(out1)])
+    main(["duality", "--format", "json", "--out", str(out2)])
     capsys.readouterr()
     r1, r2 = json.loads(out1.read_text()), json.loads(out2.read_text())
     r1.pop("generated_at")
@@ -504,7 +588,7 @@ def test_reused_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
     assert main(["duality"]) == 0
     fresh = capsys.readouterr().out
     out = tmp_path / "g8.json"
-    assert main(["--format", "json", "-g", "8", "--out", str(out), "duality"]) == 0
+    assert main(["duality", "--format", "json", "-g", "8", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["grid"]["g"] == 8
     args = cli._PARSER.parse_args(["duality"])
     assert (args.grid_exp, args.format, args.out) == (6, "text", None)

@@ -399,6 +399,15 @@ def test_step_refine_exact():
     fine = xi.to_grid(6)
     assert inner(fine, fine) == pytest.approx(1.0, abs=1e-12)
     assert fine.style == "step"
+    # three levels of duplication at once: every sample repeated 8 times
+    steps = GridFunction(2, -3, [1, 2j, 0, -1], "step")
+    fine = steps.to_grid(5)
+    assert (fine.spacing_exp, fine.start_index) == (5, -24)
+    assert np.array_equal(fine.samples, np.repeat([1, 2j, 0, -1], 8))
+    assert steps.to_grid(2) is steps
+    for style in ("step", "smooth"):
+        empty = GridFunction(3, 5, [], style).refine()
+        assert (empty.spacing_exp, empty.start_index, len(empty)) == (4, 0, 0)
 
 
 def test_trig_refine_interpolates():
