@@ -198,8 +198,9 @@ def left_action(f, d: DyadicRational | int, c: PowerOfTwo,
         big_exp = max(k_exp, w.exponent)
         split = big_exp - k_exp  # the class splits into 2^split subclasses
         if split >= MAX_NORMAL_FORM_NODES.bit_length():  # 2^split > budget, not built
-            raise MemoryBudgetExceeded(f"d = {d} splits a class into 2^{split} subclasses,"
-                                       f" over the budget of {MAX_NORMAL_FORM_NODES}")
+            raise MemoryBudgetExceeded(f"the denominator 2^{d.exponent} of d splits a class"
+                                       f" into 2^{split} subclasses, over the budget of"
+                                       f" {MAX_NORMAL_FORM_NODES}")
         eta = twisted_correlation(f, d, PowerOfTwo(c.exponent - m_exp), xi)
         if eta.is_zero():
             continue

@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Surface syntax for the algebra: the atoms are `u`, `s`, `i`, integers and
-fractions; juxtaposition or `*` multiplies, `+`/`-` add, `^n` raises to an
-integer power and `^*` (or a `*` written tightly after `u`/`s`) takes the
-adjoint.  `u^-1` is accepted because the shift is unitary; `s^-1` is
-rejected.
+Surface syntax for the algebra: the atoms are `u`, `s`, `i`, integers
+(ASCII digits) and fractions; juxtaposition or `*` multiplies, `+`/`-` add,
+`^n` raises to an integer power and `^*` (or a `*` written tightly after
+`u`/`s`) takes the adjoint.  `u^-1` is accepted because the shift is
+unitary; `s^-1` is rejected.  Parentheses nest at most MAX_NESTING deep.
 
 Exit codes: 0 success/equal, 1 not-equal or tolerance failure, 2 usage or
 parse errors, 3 module precondition failures.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -22,7 +23,7 @@ from fractions import Fraction
 from . import algebra
 from .algebra import Element, RationalComplex
 from .bimodule import equivalence_residual
-from .errors import ParseError, QadicError
+from .errors import MemoryBudgetExceeded, ParseError, QadicError
 from .grid import (
     BumpSymbol,
     GaussianSymbol,
@@ -37,70 +38,51 @@ from .wold import MonomialIsometry, build_extension_unitary, check_intertwining
 # -- expression language -------------------------------------------------------
 
 
-_ATOM_NAMES = ("u", "s", "i")
+MAX_NESTING = 100  # deepest parenthesis nesting; the parser recurses once per level
+
+# single-character tokens; integers and powers are read by _NUMBER
+_TOKEN_KINDS = {"u": "name", "s": "name", "i": "name", "*": "star", "+": "plus",
+                "-": "minus", "(": "lparen", ")": "rparen", "/": "slash"}
+_NUMBER = re.compile(r"[0-9]+|\^(?:\*|-?[0-9]+)?")
 
 
 def _tokenize(src: str):
     tokens = []  # (kind, value, offset)
-    pos = 0
-    n = len(src)
+    pos, n = 0, len(src)
     while pos < n:
         ch = src[pos]
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
-            start = pos
-            while pos < n and src[pos].isdigit():
-                pos += 1
-            tokens.append(("int", int(src[start:pos]), start))
-            continue
-        if ch in _ATOM_NAMES:
-            tokens.append(("name", ch, pos))
-            pos += 1
-            continue
-        if ch == "^":
-            if pos + 1 < n and src[pos + 1] == "*":
-                tokens.append(("adj", None, pos))
-                pos += 2
-                continue
-            start = pos
-            pos += 1
-            sign = 1
-            if pos < n and src[pos] == "-":
-                sign = -1
-                pos += 1
-            if pos >= n or not src[pos].isdigit():
-                raise ParseError("malformed power", start, {"integer", "'*'"})
-            num_start = pos
-            while pos < n and src[pos].isdigit():
-                pos += 1
-            tokens.append(("pow", sign * int(src[num_start:pos]), start))
-            continue
-        if ch == "*":
+        kind = _TOKEN_KINDS.get(ch)
+        if kind is not None:
             # a star written tightly after u or s is the adjoint
-            if tokens and tokens[-1][0] == "name" and tokens[-1][1] in ("u", "s") \
-                    and tokens[-1][2] == pos - 1:
-                tokens.append(("adj", None, pos))
-            else:
-                tokens.append(("star", None, pos))
+            if kind == "star" and tokens and tokens[-1][1] in ("u", "s") and tokens[-1][2] == pos - 1:
+                kind = "adj"
+            tokens.append((kind, ch if kind == "name" else None, pos))
             pos += 1
             continue
-        simple = {"+": "plus", "-": "minus", "(": "lparen", ")": "rparen", "/": "slash"}
-        if ch in simple:
-            tokens.append((simple[ch], None, pos))
-            pos += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", pos, set())
+        match = _NUMBER.match(src, pos)
+        if match is None:
+            raise ParseError(f"unexpected character {ch!r}", pos, set())
+        text = match.group()
+        if text == "^":
+            raise ParseError("malformed power", pos, {"integer", "'*'"})
+        try:
+            tokens.append(("adj", None, pos) if text == "^*" else
+                          ("pow", int(text[1:]), pos) if ch == "^" else ("int", int(text), pos))
+        except ValueError:  # more digits than int() reads
+            raise ParseError("integer literal too long", pos, set()) from None
+        pos = match.end()
     tokens.append(("end", None, n))
     return tokens
 
 
 class _Parser:
     def __init__(self, src: str):
-        self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0  # open parentheses around the current factor
 
     def peek(self):
         return self.tokens[self.pos]
@@ -135,19 +117,13 @@ class _Parser:
         # one merge of all terms: folding `+` would normalize after each term
         return terms[0] if len(terms) == 1 else Element.sum(terms)
 
-    _FACTOR_START = ("int", "name", "lparen")
-
     def term(self) -> Element:
         total = self.factor()
-        while True:
-            kind = self.peek()[0]
-            if kind == "star":
+        while (kind := self.peek()[0]) in ("star", "int", "name", "lparen"):
+            if kind == "star":  # an explicit product; juxtaposition is the implicit one
                 self.advance()
-                total = total * self.factor()
-            elif kind in self._FACTOR_START:
-                total = total * self.factor()
-            else:
-                return total
+            total = total * self.factor()
+        return total
 
     def factor(self) -> Element:
         tok = self.peek()
@@ -162,9 +138,13 @@ class _Parser:
             else:
                 base = Element.scalar(RationalComplex(Fraction(0), Fraction(1)))
         elif tok[0] == "lparen":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok[2], set())
             self.advance()
+            self.depth += 1
             base = self.expr()
             self.expect("rparen")
+            self.depth -= 1
         else:
             raise ParseError(f"unexpected {tok[0]}", tok[2],
                              {"integer", "'u'", "'s'", "'i'", "'('"})
@@ -254,8 +234,15 @@ def _split_case_number(text) -> tuple[str, int]:
 
 
 def parse_case_dyadic(text: str):
+    """num/2^k, refused on bit counts before any 2^|k| is built."""
     num, k = _split_case_number(text)
-    value = dyadic(int(num), k)
+    num = int(num)
+    if num and num.bit_length() - k > sys.float_info.max_exp:
+        raise ValueError("too large for a float")
+    value = dyadic(num, k)
+    if value.exponent > algebra.MAX_LEVEL:
+        raise MemoryBudgetExceeded(f"a denominator of 2^{value.exponent} is over the"
+                                   f" budget of 2^{algebra.MAX_LEVEL}")
     try:
         float(value)  # the grid layer reads it as a float
     except OverflowError:

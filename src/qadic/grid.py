@@ -41,7 +41,7 @@ import math
 import numpy as np
 
 from .errors import MemoryBudgetExceeded
-from .numbers import DyadicRational, PowerOfTwo, as_dyadic
+from .numbers import DyadicRational, PowerOfTwo, as_dyadic, dyadic
 
 _TAIL_CUTOFF = 1e-16
 _BAND_MARGIN = 3  # coarse cells kept beyond the significant band on each side
@@ -58,8 +58,9 @@ def _next_pow2(n: int) -> int:
 def check_budget(points: int, what: str) -> None:
     """Refuse `what` before it is built when it needs more than MAX_PLAIN_FFT points."""
     if points > MAX_PLAIN_FFT:
+        count = points if points < 1 << 64 else f"at least 2^{points.bit_length() - 1}"
         raise MemoryBudgetExceeded(
-            f"{what} needs {points} points, over the budget of {MAX_PLAIN_FFT}")
+            f"{what} needs {count} points, over the budget of {MAX_PLAIN_FFT}")
 
 
 class GridFunction:
@@ -96,7 +97,9 @@ class GridFunction:
         return len(self.samples) == 0
 
     def points(self) -> np.ndarray:
-        return (self.start_index + np.arange(len(self.samples))) * self.h
+        # start_index may lie beyond int64, even past 2^1024: one correctly rounded division
+        start = float(dyadic(self.start_index, self.spacing_exp))
+        return start + np.arange(len(self.samples)) * self.h
 
     def support(self) -> tuple[float, float]:
         """Closed interval carrying the nonzero samples (0-length if empty)."""
@@ -221,6 +224,7 @@ def indicator(spacing_exp: int, lo: DyadicRational | int, hi: DyadicRational | i
     g = max(spacing_exp, lo.exponent, hi.exponent)
     start = lo.numerator << (g - lo.exponent)
     end = hi.numerator << (g - hi.exponent)
+    check_budget(end - start, f"an indicator at spacing 2^-{g}")
     return GridFunction(g, start, np.ones(max(0, end - start)), "step")
 
 
@@ -376,11 +380,13 @@ def _fourier(xi: GridFunction, sign: int) -> GridFunction:
     count = min(size, _next_pow2(2 * len(x)))
     coarse = (_plain_dft if count == size else _dft)(x, count, sign)
     lo, hi = _band(coarse, size)
+    nfft = _next_pow2(len(x) + hi - lo - 1)  # the length of a chirp-z transform of the band
     if len(coarse) == size:
         full = coarse
-    elif 4 * _next_pow2(len(x) + hi - lo - 1) > size:
+    elif 4 * nfft > size:
         full = _plain_dft(x, size, sign)
     else:
+        check_budget(nfft, "a chirp-z transform of the band")
         full = None
     j = np.arange(lo, hi, dtype=np.int64)
     vals = _chirp_z(x, size, lo, hi - lo, sign) if full is None else full[j % size]
@@ -581,6 +587,7 @@ def import_csv(path, style: str = "smooth") -> GridFunction:
     spacing_exp = 1 - exp
     start = round(xs[0] / h)
     length = round(xs[-1] / h) - start + 1
+    check_budget(length, f"a CSV grid function at spacing 2^-{spacing_exp}")
     buf = np.zeros(length, dtype=complex)
     for x, v in zip(xs, vals):
         idx = round(x / h) - start

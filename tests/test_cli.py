@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -86,24 +87,58 @@ def test_parse_projection_shorthand():
     assert parse_expr("u s s* u*").equals(projection(1, 1))
 
 
-def test_parse_errors_carry_offsets():
-    with pytest.raises(ParseError) as info:
-        parse_expr("s^-1")
-    assert "isometry" in str(info.value)
-    with pytest.raises(ParseError):
-        parse_expr("u^")
-    with pytest.raises(ParseError) as info:
-        parse_expr("u + ")
-    assert info.value.offset == 4
-    with pytest.raises(ParseError):
-        parse_expr("(u")
-    with pytest.raises(ParseError):
-        parse_expr("u @ s")
-    for src, message, offset in [("u )", "trailing input", 2), ("1/0", "division by zero", 2),
-                                 ("(u + s)^-1", "translation", 7)]:  # a base of two terms
+# one input per ParseError site: (source, message, offset)
+PARSE_ERRORS = [
+    ("u @ s", "unexpected character '@'", 2),
+    ("u²", "unexpected character '²'", 1),  # only ASCII digits are integers
+    ("٣ u", "unexpected character '٣'", 0),
+    ("u^", "malformed power", 1),
+    ("u^-", "malformed power", 1),
+    ("u ^ 2", "malformed power", 2),
+    ("u^" + "9" * 5000, "integer literal too long", 1),  # past int()'s 4300 digits
+    ("u )", "trailing input", 2),
+    ("(u", "unexpected end", 2),
+    ("u + ", "unexpected end", 4),
+    ("1/u", "unexpected name", 2),
+    ("1/0", "division by zero", 2),
+    ("s^-1", "isometry", 1),
+    ("(u + s)^-1", "translation", 7),  # a base of two terms
+    ("(" * 1000 + "u" + ")" * 1000, f"nested deeper than {cli.MAX_NESTING}", cli.MAX_NESTING),
+]
+
+
+def test_parse_errors_carry_offsets(capsys):
+    for src, message, offset in PARSE_ERRORS:
         with pytest.raises(ParseError) as info:
             parse_expr(src)
-        assert message in str(info.value) and info.value.offset == offset, src
+        assert message in str(info.value) and info.value.offset == offset, src[:20]
+        assert main(["normalize", src]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def test_nesting_limit_does_not_depend_on_the_stack():
+    deepest = "(" * cli.MAX_NESTING + "u" + ")" * cli.MAX_NESTING
+
+    def nested(frames, src):  # a caller already deep in its own recursion
+        return parse_expr(src) if frames == 0 else nested(frames - 1, src)
+
+    assert nested(400, deepest) == u()
+    with pytest.raises(ParseError, match="nested deeper"):
+        nested(400, "(" + deepest + ")")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    # at most eight characters: the language can write a power that takes
+    # minutes to expand, which no parse error or budget refuses
+    st.text("usi*+-()/^0123456789 \t\n\x0b²٣@", max_size=8),
+    st.sampled_from([src for src, _, _ in PARSE_ERRORS])))
+def test_parse_expr_raises_only_its_own_errors(src):
+    try:
+        result = parse_expr(src)
+    except (ParseError, MemoryBudgetExceeded):
+        return
+    assert isinstance(result, algebra.Element)
 
 
 def test_parser_round_trip_random():
@@ -523,6 +558,20 @@ _HOSTILE = {
     **{f"dilation-up-{k}": (dict(_CASE, c=f"2^{k}"), 3, "MemoryBudgetExceeded")
        for k in (1020, 1030, 1100, 2100, 5000, 1000000000)},
     "huge-d": (dict(_CASE, d="1" + "0" * 400), 2, "case 0: key 'd': too large for a float"),
+    # refused on bit counts before 2^1000000000 is built (tested in memory below)
+    "huge-d-power": (dict(_CASE, d="1/2^-1000000000"), 2, "key 'd': too large for a float"),
+    "tiny-d": (dict(_CASE, d="1/2^1000000000"), 3, "2^1000000000 is over the budget of 2^8192"),
+    "fine-d-2000": (dict(_CASE, d="1/2^2000"), 3, "2^2000 subclasses, over the budget"),
+    # a translated leg beyond int64, whose transform band is over the budget
+    **{f"far-d-{k}": (dict(_CASE, f={"kind": "bump", "radius": 1}, d=f"1/2^-{k}",
+                           xi={"kind": "gaussian", "center": 0.25, "width": 0.5}),
+                      3, "MemoryBudgetExceeded") for k in (60, 1000)},
+    "far-indicator": (dict(_CASE, xi={"kind": "indicator", "lo": "0", "hi": "1/2^-40"}), 3,
+                      "an indicator at spacing 2^-6 needs"),
+    "far-csv": (dict(_CASE, xi={"kind": "csv", "path": "far.csv"}), 3,
+                "a CSV grid function at spacing 2^-10 needs"),
+    "far-tabulated": (dict(_CASE, f={"kind": "tabulated", "f_csv": "far.csv",
+                                     "fcheck_csv": "far.csv"}), 3, "a CSV grid function"),
 }
 
 
@@ -538,12 +587,15 @@ def test_hostile_case_file_exits_fast(tmp_path, name):
     case, code, message = _HOSTILE[name]
     path = tmp_path / "cases.json"
     path.write_text(json.dumps([case]))
+    # three samples spanning 2^40 points of spacing 2^-10
+    (tmp_path / "far.csv").write_text(f"x,re,im\n0,1,0\n{2.0 ** -10!r},1,0\n{2.0 ** 30!r},1,0\n")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     with open(tmp_path / "err.txt", "w+") as err:
         proc = subprocess.Popen(
             [sys.executable, "-m", "qadic.cli", "duality", "--cases", str(path)],
-            stdout=subprocess.DEVNULL, stderr=err, env=env, preexec_fn=_limit_address_space)
+            stdout=subprocess.DEVNULL, stderr=err, env=env, cwd=tmp_path,
+            preexec_fn=_limit_address_space)
         timer = threading.Timer(10.0, proc.kill)  # a hang fails below instead of blocking
         timer.start()
         _, status, usage = os.wait4(proc.pid, 0)
@@ -553,10 +605,25 @@ def test_hostile_case_file_exits_fast(tmp_path, name):
         stderr = err.read()
     assert proc.returncode == code, stderr
     assert message in stderr and "Traceback" not in stderr
+    assert len(stderr) < 200  # numbers past 64 bits are written 2^k
     # CPU seconds of the whole process, start-up included: unlike wall time,
     # they do not grow when other processes share the host
     assert usage.ru_utime + usage.ru_stime < 1.0
     assert usage.ru_maxrss < 200 << 10  # kilobytes
+
+
+@pytest.mark.parametrize("text, error", [("1/2^-1000000000", ValueError),
+                                         ("1/2^1000000000", MemoryBudgetExceeded)])
+def test_case_dyadic_refused_before_it_is_built(text, error):
+    # 2^1000000000 alone is 125 MB, which the hostile test's 200 MB limit lets pass
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            parse_case_dyadic(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("argv", [

@@ -249,6 +249,29 @@ def test_plain_transform_beyond_budget_raises_before_allocating(monkeypatch):
     assert sizes and max(sizes) <= 4 * len(xi)
 
 
+def test_band_transform_beyond_budget_raises_before_allocating(monkeypatch):
+    monkeypatch.setattr(grid, "_chirp_z", None)  # never reached
+    far = gaussian(0.0, 0.5, g=6)
+    far = GridFunction(far.spacing_exp, far.start_index + (1 << 66), far.samples)
+    with pytest.raises(MemoryBudgetExceeded,
+                       match=r"chirp-z transform of the band needs at least 2\^66 points"):
+        fourier(far)
+
+
+def test_points_beyond_int64():
+    rng = random.Random(5)
+    for _ in range(200):  # bit-identical to (start + k) h where that is exact
+        xi = GridFunction(rng.randint(-8, 12), rng.randint(-2 ** 52, 2 ** 52), np.ones(5))
+        assert np.array_equal(xi.points(), (xi.start_index + np.arange(5)) * xi.h)
+    far = GridFunction(6, (1 << 1000) + 1, np.ones(3))  # rounds to 2^994
+    assert list(far.points()) == [2.0 ** 994] * 3
+
+
+def test_indicator_beyond_budget_raises_before_allocating():
+    with pytest.raises(MemoryBudgetExceeded, match="indicator at spacing 2.-6"):
+        indicator(6, 0, 1 << 40)
+
+
 # -- inner products --------------------------------------------------------------------
 
 
@@ -467,6 +490,13 @@ def test_csv_round_trip(tmp_path):
     assert back.spacing_exp == xi.spacing_exp
     assert back.start_index == xi.start_index
     assert np.allclose(back.samples, xi.samples)
+
+
+def test_csv_beyond_budget_raises_before_allocating(tmp_path):
+    path = tmp_path / "far.csv"  # three samples spanning 2^40 points
+    path.write_text(f"x,re,im\n0,1,0\n{2.0 ** -10!r},1,0\n{2.0 ** 30!r},1,0\n")
+    with pytest.raises(MemoryBudgetExceeded, match=f"needs {2 ** 40 + 1} points"):
+        import_csv(path)
 
 
 def test_csv_rejects_bad_spacing(tmp_path):
