@@ -24,7 +24,9 @@ leg moved by b lattice strides; every value is then one grid.overlap_vdot
 of the two sample runs, and every monomial one composition against the
 shift-independent factor P1 s*^up.  The module axioms pin this indexing;
 the test-suite checks them and compares each shift with its reindexed
-inner product and composed monomial chain.
+inner product and composed monomial chain.  Only b = 0 and class offsets
+0 reach e_0 (s^down fixes 0, u^-b moves it to -b, and s*^up brings that
+back only for b = 0), so induced_inner pairs just those legs at shift 0.
 """
 
 from __future__ import annotations
@@ -55,14 +57,15 @@ class BimoduleElement:
     """Finite sum of elementary tensors, canonically merged.
 
     Tensors are keyed by (class offset l, class level exponent, m-leg
-    exponent); scalar coefficients are absorbed into the grid leg.
+    exponent); scalar coefficients are absorbed into the grid leg.  The
+    constructor takes (key, leg) pairs and adds the legs of equal keys in order.
     """
 
     __slots__ = ("tensors",)
 
-    def __init__(self, tensors=None):
+    def __init__(self, tensors=()):
         merged: dict[tuple[int, int, int], GridFunction] = {}
-        for (l, k_exp, m_exp), xi in (tensors or {}).items():
+        for (l, k_exp, m_exp), xi in tensors:
             key = (l % (1 << k_exp), k_exp, m_exp)
             merged[key] = merged[key] + xi if key in merged else xi
         self.tensors = {k: v for k, v in sorted(merged.items()) if not v.is_zero()}
@@ -70,19 +73,16 @@ class BimoduleElement:
     @classmethod
     def simple(cls, offset: int, level_exp: int, xi: GridFunction,
                m_exp: int = 0) -> "BimoduleElement":
-        return cls({(offset, level_exp, m_exp): xi})
+        return cls([((offset, level_exp, m_exp), xi)])
 
     def is_zero(self) -> bool:
         return not self.tensors
 
     def scale(self, c: complex) -> "BimoduleElement":
-        return BimoduleElement({k: xi.scale(c) for k, xi in self.tensors.items()})
+        return BimoduleElement((k, xi.scale(c)) for k, xi in self.tensors.items())
 
     def __add__(self, other: "BimoduleElement") -> "BimoduleElement":
-        out = dict(self.tensors)
-        for k, xi in other.tensors.items():
-            out[k] = out[k] + xi if k in out else xi
-        return BimoduleElement(out)
+        return BimoduleElement([*self.tensors.items(), *other.tensors.items()])
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -106,7 +106,7 @@ class BimoduleElement:
         the tensor unless 2^tau divides l', s*^j doubles it j times, and u^b
         moves it by -b, while the m-leg exponent gains i - j.
         """
-        out = {}
+        out = []
         shift = dyadic((a << j) + (b << i), j)
         for (l, k_exp, m_exp), xi in self.tensors.items():
             l = (l - a) % (1 << k_exp)
@@ -115,8 +115,7 @@ class BimoduleElement:
                 continue
             k_new = k_exp - tau + j
             key = ((((l >> tau) << j) - b) % (1 << k_new), k_new, m_exp + i - j)
-            moved = affine_reindex(xi, i - j, shift)
-            out[key] = out[key] + moved if key in out else moved
+            out.append((key, affine_reindex(xi, i - j, shift)))
         return BimoduleElement(out)
 
     def act(self, q: Element) -> "BimoduleElement":
@@ -130,6 +129,18 @@ class BimoduleElement:
 # -- the algebra-valued inner product -------------------------------------------
 
 
+def _common_legs(m1e, xi1, m2e, xi2):
+    """(fine1, base2, weight, h, floor) of a tensor pair: both legs refined once to the
+    common grid 2^-g, base2 at shift 0, and floor = INNER_EPS times the Cauchy-Schwarz
+    bound weight * h * |x1| |x2| of every term, so the cutoff has no units."""
+    e = m1e - m2e
+    g = max(xi1.spacing_exp, xi2.spacing_exp + e, e, 0)
+    fine1, base2 = xi1.to_grid(g), affine_reindex(xi2.to_grid(g - e), e, 0)
+    weight, h = 2.0 ** m1e, fine1.h
+    norm1, norm2 = (math.sqrt(np.vdot(x.samples, x.samples).real) for x in (fine1, base2))
+    return fine1, base2, weight, h, INNER_EPS * weight * h * norm1 * norm2
+
+
 def _pair_terms(key1, xi1, key2, xi2):
     """Inner-product terms of one tensor pair: list of (Monomial, complex).
 
@@ -137,25 +148,19 @@ def _pair_terms(key1, xi1, key2, xi2):
     On the common grid 2^-g that leg is the refined second leg moved by b
     strides of 2^(g - up) samples, so each value is one overlap_vdot and
     each monomial one compose against the b-free factor P1 s*^up.  The
-    shifts run over exactly those b whose refined sample runs overlap.
-    Terms are kept above INNER_EPS times the pair's Cauchy-Schwarz bound
-    weight * h * |x1| |x2| on every shift, so the cutoff has no units.
+    shifts run over exactly those b whose refined sample runs overlap, and
+    terms are kept above the floor of _common_legs.
     """
     (l1, k1e, m1e), (l2, k2e, m2e) = key1, key2
-    e = m1e - m2e
-    up, down = max(e, 0), max(-e, 0)
-    g = max(xi1.spacing_exp, xi2.spacing_exp + e, e, 0)
-    fine1, base2 = xi1.to_grid(g), affine_reindex(xi2.to_grid(g - e), e, 0)
+    up, down = max(m1e - m2e, 0), max(m2e - m1e, 0)
+    fine1, base2, weight, h, floor = _common_legs(m1e, xi1, m2e, xi2)
     x1, x2 = fine1.samples, base2.samples
     # the shifts whose sample runs overlap: -len(x2) < offset - b * stride < len(x1)
-    offset, stride = base2.start_index - fine1.start_index, 1 << (g - up)
+    offset, stride = base2.start_index - fine1.start_index, 1 << (fine1.spacing_exp - up)
     lo, hi = (offset - len(x1)) // stride + 1, (offset + len(x2) - 1) // stride
     left = compose(Monomial.from_word(l1, k1e, k1e, -l1), Monomial.from_word(0, 0, up, 0))
     a, i, j, c = compose(Monomial.from_word(0, down, 0, 0),
                          Monomial.from_word(l2, k2e, k2e, -l2)).word()
-    weight, h = 2.0 ** m1e, fine1.h
-    norm1, norm2 = (math.sqrt(np.vdot(x, x).real) for x in (x1, x2))
-    floor = INNER_EPS * weight * h * norm1 * norm2
     out = []
     for b in range(lo, hi + 1):
         val = weight * complex(gridmod.overlap_vdot(
@@ -192,7 +197,7 @@ def left_action(f, d: DyadicRational | int, c: PowerOfTwo,
     all, raise MemoryBudgetExceeded before they are built.
     """
     d = as_dyadic(d)
-    out: dict[tuple[int, int, int], GridFunction] = {}
+    out = []
     for (l, k_exp, m_exp), xi in phi.tensors.items():
         w = dyadic(d.numerator, d.exponent - (m_exp - c.exponent))
         big_exp = max(k_exp, w.exponent)
@@ -209,9 +214,7 @@ def left_action(f, d: DyadicRational | int, c: PowerOfTwo,
         new_m = m_exp - c.exponent
         for offset in range(l % (1 << k_exp), 1 << big_exp, 1 << k_exp):
             phase = cmath.exp(-2j * math.pi * float((offset * w).frac_mod1()))
-            leg = eta.scale(scalar * phase)
-            key = (offset, big_exp, new_m)
-            out[key] = out[key] + leg if key in out else leg
+            out.append(((offset, big_exp, new_m), eta.scale(scalar * phase)))
     return BimoduleElement(out)
 
 
@@ -235,8 +238,15 @@ def induce(xi: GridFunction) -> BimoduleElement:
 
 
 def induced_inner(phi1: BimoduleElement, phi2: BimoduleElement) -> complex:
-    """<phi1 (x) e_0, phi2 (x) e_0> = <e_0, <phi1, phi2>_A e_0>."""
-    return algebra_inner(phi1, phi2).apply({0: 1.0}).get(0, 0j)
+    """<phi1 (x) e_0, phi2 (x) e_0> = <e_0, <phi1, phi2>_A e_0>, from b = 0 (module notes)."""
+    total = 0j
+    for (l1, _, m1e), xi1 in phi1.tensors.items():
+        for (l2, _, m2e), xi2 in phi2.tensors.items():
+            if l1 == l2 == 0:
+                fine1, base2, weight, _, floor = _common_legs(m1e, xi1, m2e, xi2)
+                val = weight * inner(fine1, base2)  # the legs at shift 0
+                total += val if abs(val) > floor else 0
+    return total
 
 
 def induced_norm(phi: BimoduleElement) -> float:

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
+import numpy as np
+
 from . import algebra
 from .algebra import Element, RationalComplex
 from .bimodule import equivalence_residual
@@ -323,6 +325,9 @@ def default_cases() -> list[dict]:
 def _run_case(case: dict, config: RunConfig) -> dict:
     f = build_symbol(_field(case, "f"))
     d = _value(case, "d", parse_case_dyadic)
+    with np.errstate(all="ignore"):  # M_f T_d reads f near d, which may overflow there
+        if not np.isfinite(f.f_values(float(d))).all():
+            raise ValueError("key 'd': the symbol f is not finite this far out")
     c = _value(case, "c", parse_case_pow2)
     xi2 = build_vector(_field(case, "xi"), config)
     xi1 = build_vector(case["xi1"], config) if "xi1" in case else xi2

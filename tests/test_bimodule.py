@@ -153,7 +153,7 @@ def _merged(pairs):
     out = {}
     for key, xi in pairs:
         out[key] = out[key] + xi if key in out else xi
-    return BimoduleElement(out)
+    return BimoduleElement(out.items())
 
 
 def ref_act_u(phi, power):
@@ -592,6 +592,52 @@ def test_induced_inner_reads_basis_pairs_through_u():
         assert abs(got - legacy) <= 1e-12 * abs(legacy), (n1, n2)
         nonzero += abs(legacy) > 0
     assert nonzero >= 10
+
+
+def random_element(draw_rng, off_zero=False):
+    """One to three tensors with k in {0, 1, 2}, m in -2..2 and short step or
+    smooth legs; with off_zero, no class holds 0 (k >= 1, offset l != 0)."""
+    tensors = []
+    for _ in range(draw_rng.randrange(1, 4)):
+        k = draw_rng.randrange(off_zero, 3)
+        values = [complex(draw_rng.uniform(-2, 2), draw_rng.uniform(-2, 2))
+                  for _ in range(draw_rng.randrange(1, 6))]
+        xi = grid.GridFunction(draw_rng.randrange(2, 5), draw_rng.randrange(-8, 9), values,
+                               draw_rng.choice(("step", "smooth")))
+        tensors.append(((draw_rng.randrange(off_zero, 1 << k), k, draw_rng.randrange(-2, 3)), xi))
+    return BimoduleElement(tensors)
+
+
+def test_induced_inner_matches_the_algebra_route():
+    # the terms that send e_0 to e_0 are the whole entry <e_0, <phi1, phi2>_A e_0>; with
+    # one such term the two routes add nothing else and agree to the bit, and with more
+    # they only add in another order.  Only class-0 pairs are scanned for them: a term
+    # the scan missed would show in the legacy entry
+    draw_rng = random.Random(5772)
+    eps = np.finfo(float).eps
+    reaching = {0: 0, 1: 0, 2: 0}
+    for _ in range(300):
+        phi1, phi2 = random_element(draw_rng), random_element(draw_rng)
+        vals = [val for key1, xi1 in phi1.tensors.items() for key2, xi2 in phi2.tensors.items()
+                if key1[0] == key2[0] == 0
+                for mono, val in _pair_terms(key1, xi1, key2, xi2) if mono.apply_index(0) == 0]
+        got = induced_inner(phi1, phi2)
+        legacy = algebra_inner(phi1, phi2).apply({0: 1.0}).get(0, 0j)
+        if len(vals) <= 1:
+            assert got == legacy == sum(vals, 0j)
+        else:
+            assert abs(got - legacy) <= 4 * len(vals) * eps * sum(map(abs, vals))
+        reaching[min(len(vals), 2)] += 1
+    assert min(reaching.values()) >= 10, reaching
+
+
+def test_induced_inner_without_a_class_zero_tensor_is_zero():
+    draw_rng = random.Random(1414)
+    for _ in range(50):
+        phi = random_element(draw_rng)
+        off = random_element(draw_rng, off_zero=True)
+        assert all(l for l, _, _ in off.tensors)
+        assert induced_inner(off, phi) == induced_inner(phi, off) == 0j
 
 
 # -- the unitary-equivalence residual ------------------------------------------------

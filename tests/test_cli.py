@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qadic import algebra, cli, grid
+from qadic import algebra, bimodule, cli, grid
 from qadic.algebra import RationalComplex, one, projection, s, s_adj, u, zero
 from qadic.bimodule import equivalence_residual
 from qadic.cli import (
@@ -566,6 +566,10 @@ _HOSTILE = {
     **{f"far-d-{k}": (dict(_CASE, f={"kind": "bump", "radius": 1}, d=f"1/2^-{k}",
                            xi={"kind": "gaussian", "center": 0.25, "width": 0.5}),
                       3, "MemoryBudgetExceeded") for k in (60, 1000)},
+    # f near d = 2^1022 overflows a float: sinc(2 r x) at r = 1 is nan
+    **{f"d-near-max-float-{k}": (dict(_CASE, f={"kind": "bump", "radius": 1}, d=f"1/2^-{k}"),
+                                 2, "case 0: key 'd': the symbol f is not finite")
+       for k in (1022, 1023)},
     "far-indicator": (dict(_CASE, xi={"kind": "indicator", "lo": "0", "hi": "1/2^-40"}), 3,
                       "an indicator at spacing 2^-6 needs"),
     "far-csv": (dict(_CASE, xi={"kind": "csv", "path": "far.csv"}), 3,
@@ -648,6 +652,18 @@ def test_report_deterministic(tmp_path, capsys):
     r1.pop("generated_at")
     r2.pop("generated_at")
     assert r1 == r2
+
+
+def test_duality_never_builds_the_algebra_valued_inner_product(tmp_path, capsys, monkeypatch):
+    # the report reads one matrix entry per case from the b = 0 pairing; the whole
+    # A-valued inner product is the slow route, so calling it fails the command
+    def refuse(*args):
+        raise AssertionError("the duality path built the A-valued inner product")
+
+    monkeypatch.setattr(bimodule, "algebra_inner", refuse)
+    out = tmp_path / "g4.json"
+    assert main(["duality", "-g", "4", "--format", "json", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["pass"]
 
 
 def test_reused_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
