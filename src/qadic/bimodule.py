@@ -129,12 +129,17 @@ class BimoduleElement:
 # -- the algebra-valued inner product -------------------------------------------
 
 
+def _pairing_grid(e: int, exp1: int, exp2: int) -> int:
+    """g of the common grid 2^-g of legs at 2^-exp1 and 2^-exp2 with m1e - m2e = e."""
+    return max(exp1, exp2 + e, e, 0)
+
+
 def _common_legs(m1e, xi1, m2e, xi2):
     """(fine1, base2, weight, h, floor) of a tensor pair: both legs refined once to the
     common grid 2^-g, base2 at shift 0, and floor = INNER_EPS times the Cauchy-Schwarz
     bound weight * h * |x1| |x2| of every term, so the cutoff has no units."""
     e = m1e - m2e
-    g = max(xi1.spacing_exp, xi2.spacing_exp + e, e, 0)
+    g = _pairing_grid(e, xi1.spacing_exp, xi2.spacing_exp)
     fine1, base2 = xi1.to_grid(g), affine_reindex(xi2.to_grid(g - e), e, 0)
     weight, h = 2.0 ** m1e, fine1.h
     norm1, norm2 = (math.sqrt(np.vdot(x.samples, x.samples).real) for x in (fine1, base2))
@@ -260,6 +265,8 @@ def equivalence_residual(f, d: DyadicRational | int, c: PowerOfTwo,
     Compares <W xi1, Ind(f, d, c) W xi2> against
     <xi1, F (M_f T_d D_c) F^-1 xi2>, normalized by the vector norms.
     """
+    # refuse refining xi1 for the pairing with the correlated legs (xi2's grid, m = 1/c) first
+    xi1._refined_length(_pairing_grid(c.exponent, xi1.spacing_exp, xi2.spacing_exp))
     lhs = induced_inner(induce(xi1), left_action(f, d, c, induce(xi2)))
     rhs = inner(xi1, gridmod.fourier(gridmod.rep_apply(
         f, d, c, gridmod.fourier_inv(xi2))))

@@ -1,6 +1,6 @@
 """Compactly supported functions on dyadic grids and the operators on them.
 
-A GridFunction stores complex samples at the points (start_index + k) * h
+A GridFunction stores complex samples at the points (start_index + (k << lag)) * h
 with h = 2^-spacing_exp, so every sample point is a dyadic rational and the
 translation / dilation operators act by exact reindexing.  The continuous
 Fourier transform uses the e(tx) = exp(2*pi*i*t*x) convention throughout
@@ -28,9 +28,10 @@ widen the band of a later transform.  Spectra that do not decay
 L > MAX_PLAIN_FFT with MemoryBudgetExceeded before allocating anything of
 length L.
 
-Grid refinement follows a per-function style flag: "step" functions refine
-by sample duplication (exact for indicators with grid-aligned breakpoints),
-"smooth" functions by trigonometric interpolation.
+Translations and dilations keep the stored samples and move only lag and
+the integer positions.  Refinement happens once, in to_grid, from the stored
+samples: "step" legs repeat each one (exact for indicators with grid-aligned
+breakpoints), "smooth" legs interpolate them trigonometrically in one FFT.
 """
 
 from __future__ import annotations
@@ -64,18 +65,18 @@ def check_budget(points: int, what: str) -> None:
 
 
 class GridFunction:
-    """Finitely supported samples on the dyadic grid 2^-spacing_exp * Z."""
+    """Finitely many samples on 2^-spacing_exp * Z, sample k at index start_index + (k << lag)."""
 
-    __slots__ = ("spacing_exp", "start_index", "samples", "style")
+    __slots__ = ("spacing_exp", "start_index", "samples", "style", "lag")
 
-    def __init__(self, spacing_exp: int, start_index: int, samples, style: str = "smooth"):
+    def __init__(self, spacing_exp: int, start_index: int, samples, style="smooth", lag=0):
         samples = np.asarray(samples, dtype=complex)
         if not (len(samples) and samples[0] and samples[-1]):  # else already trimmed
             nz = np.nonzero(samples)[0]
             if len(nz) == 0:
                 start_index, samples = 0, samples[:0]
             else:
-                start_index += int(nz[0])
+                start_index += int(nz[0]) << lag
                 samples = samples[nz[0]:nz[-1] + 1]
         if style not in ("step", "smooth"):
             raise ValueError(f"unknown style {style!r}")
@@ -83,6 +84,7 @@ class GridFunction:
         self.start_index = start_index
         self.samples = samples
         self.style = style
+        self.lag = lag
 
     # -- basic geometry ------------------------------------------------------
 
@@ -99,64 +101,58 @@ class GridFunction:
     def points(self) -> np.ndarray:
         # start_index may lie beyond int64, even past 2^1024: one correctly rounded division
         start = float(dyadic(self.start_index, self.spacing_exp))
-        return start + np.arange(len(self.samples)) * self.h
+        return start + np.arange(len(self.samples)) * 2.0 ** (self.lag - self.spacing_exp)
 
     def support(self) -> tuple[float, float]:
         """Closed interval carrying the nonzero samples (0-length if empty)."""
         if self.is_zero():
             return 0.0, 0.0
-        return self.start_index * self.h, (self.start_index + len(self.samples) - 1) * self.h
+        return self.start_index * self.h, (self.start_index + (len(self) - 1 << self.lag)) * self.h
 
     # -- refinement ------------------------------------------------------------
 
-    def _refined_length(self, levels: int) -> int:
-        """Length of the array the last of `levels` refinements allocates (an
-        upper bound: trimming is ignored); past the budget it raises first."""
-        n = len(self.samples)
-        for _ in range(levels if n else 0):
-            n = 2 * n if self.style == "step" else 2 * _next_pow2(n + 2 * _TRIG_MARGIN)
-            check_budget(n, f"refining to spacing 2^-{self.spacing_exp + levels}")
+    def _refined_length(self, spacing_exp: int) -> int:
+        """Length of the array to_grid(spacing_exp) allocates; past the budget it raises first."""
+        n, levels = len(self.samples), spacing_exp - self.spacing_exp + self.lag
+        if n and levels > 0:  # past 64 levels n is over the budget: 2^levels is not built
+            n = (n if self.style == "step" else _next_pow2(n + 2 * _TRIG_MARGIN)) << min(levels, 64)
+            check_budget(n, f"refining to spacing 2^-{spacing_exp}")
         return n
 
     def refine(self) -> "GridFunction":
         """Double the sampling rate according to the style flag."""
         return self.to_grid(self.spacing_exp + 1)
 
-    def _refine_trig(self) -> "GridFunction":
-        n = len(self.samples)
-        size = _next_pow2(n + 2 * _TRIG_MARGIN)
-        buf = np.zeros(size, dtype=complex)
-        buf[_TRIG_MARGIN:_TRIG_MARGIN + n] = self.samples
-        spec = np.fft.fft(buf)
-        out = np.zeros(2 * size, dtype=complex)
-        half = size // 2
-        out[:half] = spec[:half]
-        out[half] = spec[half] / 2
-        out[2 * size - half] = spec[half] / 2
-        out[2 * size - half + 1:] = spec[half + 1:]
-        fine = np.fft.ifft(out) * 2
-        return GridFunction(self.spacing_exp + 1, 2 * (self.start_index - _TRIG_MARGIN),
-                            fine, "smooth")
-
     def to_grid(self, spacing_exp: int) -> "GridFunction":
-        levels = spacing_exp - self.spacing_exp
-        if levels < 0:
+        """Samples at every point of 2^-spacing_exp Z, from the stored ones in one step: a
+        smooth leg pads them once and zero-fills their spectrum to 2^levels periods."""
+        levels = spacing_exp - self.spacing_exp + self.lag
+        if spacing_exp < self.spacing_exp:
             raise ValueError("cannot coarsen a grid function")
         if levels == 0:
             return self
-        self._refined_length(levels)
-        if self.style == "step":  # duplication commutes: one repeat does every level
-            return GridFunction(spacing_exp, self.start_index << levels,
-                                np.repeat(self.samples, 1 << levels), "step")
-        out = self
-        for _ in range(levels):
-            out = out._refine_trig()
-        return out
+        if self.is_zero():
+            return GridFunction(spacing_exp, 0, [], self.style)
+        length = self._refined_length(spacing_exp)
+        start = self.start_index << (spacing_exp - self.spacing_exp)
+        if self.style == "step":
+            return GridFunction(spacing_exp, start, np.repeat(self.samples, 1 << levels), "step")
+        size, half = length >> levels, length >> (levels + 1)
+        buf = np.zeros(size, dtype=complex)
+        buf[_TRIG_MARGIN:_TRIG_MARGIN + len(self.samples)] = self.samples
+        spec = np.fft.fft(buf)
+        out = np.zeros(length, dtype=complex)
+        out[:half] = spec[:half]
+        out[half] = out[length - half] = spec[half] / 2  # the Nyquist term, split
+        out[length - half + 1:] = spec[half + 1:]
+        return GridFunction(spacing_exp, start - (_TRIG_MARGIN << levels),
+                            np.fft.ifft(out) * (1 << levels), "smooth")
 
     # -- linear structure ---------------------------------------------------------
 
     def scale(self, c: complex) -> "GridFunction":
-        return GridFunction(self.spacing_exp, self.start_index, self.samples * c, self.style)
+        return GridFunction(self.spacing_exp, self.start_index, self.samples * c, self.style,
+                            self.lag)
 
     def __neg__(self):
         return self.scale(-1)
@@ -211,6 +207,7 @@ def grid_sample(src: GridFunction, x) -> np.ndarray:
         out = np.zeros(len(x), dtype=complex)
         out[valid] = fine.samples[pos[valid]]
         return out
+    src = src.to_grid(src.spacing_exp)
     pts = (src.start_index - 1 + np.arange(len(src) + 2)) * src.h
     vals = np.pad(src.samples, 1)
     re = np.interp(x, pts, vals.real, left=0.0, right=0.0)
@@ -247,31 +244,32 @@ def sample_symbol(f, spacing_exp: int, lo: float, hi: float) -> GridFunction:
 
 
 def translate(xi: GridFunction, b: DyadicRational | int) -> GridFunction:
-    """(T_b xi)(x) = xi(x - b); exact reindexing, refining if b is finer."""
+    """(T_b xi)(x) = xi(x - b); exact reindexing, on a finer grid if b is finer."""
     return affine_reindex(xi, 0, -as_dyadic(b))
 
 
 def dilate(xi: GridFunction, a: PowerOfTwo) -> GridFunction:
     """(D_a xi)(x) = a^(-1/2) xi(x / a); exact on the grid representation."""
     return GridFunction(xi.spacing_exp - a.exponent, xi.start_index,
-                        xi.samples * 2.0 ** (-a.exponent / 2), xi.style)
+                        xi.samples * 2.0 ** (-a.exponent / 2), xi.style, xi.lag)
 
 
 def affine_reindex(xi: GridFunction, scale_exp: int, shift: DyadicRational | int) -> GridFunction:
-    """The function t -> xi(2^scale_exp * t + shift) as exact reindexing."""
+    """t -> xi(2^scale_exp * t + shift) by exact reindexing; a finer shift widens the lag."""
     shift = as_dyadic(shift)
     if xi.is_zero():
         return GridFunction(xi.spacing_exp + scale_exp, 0, [], xi.style)
-    src = xi.to_grid(max(xi.spacing_exp, shift.exponent))
-    offset = shift.numerator << (src.spacing_exp - shift.exponent)
-    return GridFunction(src.spacing_exp + scale_exp, src.start_index - offset,
-                        src.samples, src.style)
+    up = max(0, shift.exponent - xi.spacing_exp)
+    offset = shift.numerator << (xi.spacing_exp + up - shift.exponent)
+    return GridFunction(xi.spacing_exp + up + scale_exp, (xi.start_index << up) - offset,
+                        xi.samples, xi.style, xi.lag + up)
 
 
 def multiply(f, xi: GridFunction) -> GridFunction:
     """Pointwise multiplication by a closed-form symbol."""
     if xi.is_zero():
         return xi
+    xi = xi.to_grid(xi.spacing_exp)  # f is read at every grid point, not at the stored ones
     vals = np.asarray(f.f_values(xi.points()), dtype=complex)
     return GridFunction(xi.spacing_exp, xi.start_index, vals * xi.samples, xi.style)
 
@@ -376,6 +374,7 @@ def _chirp_z(x: np.ndarray, size: int, lo: int, m: int, sign: int) -> np.ndarray
 def _fourier(xi: GridFunction, sign: int) -> GridFunction:
     if xi.is_zero():
         return GridFunction(0, 0, [], "smooth")
+    xi = xi.to_grid(xi.spacing_exp)
     x, size = xi.samples, _fft_size(xi)
     count = min(size, _next_pow2(2 * len(x)))
     coarse = (_plain_dft if count == size else _dft)(x, count, sign)
@@ -424,23 +423,25 @@ def twisted_correlation(f, d: DyadicRational | int, c: PowerOfTwo,
     m_lo, m_hi = math.ceil(slo / delta), math.floor(shi / delta)
     if m_hi < m_lo:
         return GridFunction(g, 0, [], "smooth")
-    check_budget(_next_pow2(xi._refined_length(max(0, -e)) + m_hi - m_lo), "the correlation")
+    check_budget(_next_pow2(xi._refined_length(g + max(0, -e)) + m_hi - m_lo), "the correlation")
     lookup = xi.to_grid(g + max(0, -e))
     stride = 1 << (lookup.spacing_exp - g)
-    s_vals = np.arange(m_lo, m_hi + 1) * delta
-    weights = delta * np.asarray(f.fcheck_values(s_vals), dtype=complex) \
-        * np.exp(2j * np.pi * float(d) * s_vals)
-
     # out[k] = sum_m weights[m] * lookup(k * stride + m): one full convolution
     # with the reversed weights, read at every stride-th position
     src_lo, src_hi = lookup.start_index, lookup.start_index + len(lookup) - 1
     k_lo = math.ceil((src_lo - m_hi) / stride)
     k_hi = math.floor((src_hi - m_lo) / stride)
+    s_vals = np.arange(m_lo, m_hi + 1) * delta
+    t = (k_lo + np.arange(k_hi - k_lo + 1)) * 2.0 ** (-g)
+    reach = max(max(-m_lo, m_hi) * delta, float(np.abs(t).max(initial=0))) * 2.0 ** max(0, -e)
+    if not math.isfinite(2 * math.pi * float(d) * reach):  # the float phases of s d and t d / c
+        raise ValueError("the correlation phase 2 pi t d / c overflows a float")
+    weights = delta * np.asarray(f.fcheck_values(s_vals), dtype=complex) \
+        * np.exp(2j * np.pi * float(d) * s_vals)
     size = _next_pow2(len(lookup) + len(weights) - 1)
     conv = np.fft.ifft(np.fft.fft(lookup.samples, size) * np.fft.fft(weights[::-1], size))
     first = k_lo * stride + m_hi - src_lo
     out = conv[first:first + (k_hi - k_lo) * stride + 1:stride]
-    t = (k_lo + np.arange(len(out))) * 2.0 ** (-g)
     out *= np.exp(2j * np.pi * t * float(d) * 2.0 ** (-e))
     return GridFunction(g, k_lo, out, "smooth")
 
@@ -555,6 +556,7 @@ class TabulatedFourierPair:
 
 
 def export_csv(xi: GridFunction, path) -> None:
+    xi = xi.to_grid(xi.spacing_exp)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "re", "im"])

@@ -25,6 +25,7 @@ from qadic.cli import (
     parse_case_dyadic,
     parse_case_pow2,
     parse_expr,
+    run_duality_cases,
 )
 from qadic.errors import MemoryBudgetExceeded, ParseError
 from qadic.numbers import PowerOfTwo, dyadic
@@ -550,10 +551,12 @@ _HOSTILE = {
     "far-gaussian": (dict(_CASE, xi1={"kind": "gaussian", "center": 1e9}), 2,
                      "case 0: key 'xi1': the vector is zero"),
     "fine-d": (dict(_CASE, d="1/2^100"), 3, "2^100 subclasses, over the budget"),
-    "dilation-up-12": (dict(_CASE, c="2^12"), 3, "MemoryBudgetExceeded"),
-    "dilation-down-12": (dict(_CASE, c="1/2^12"), 3, "MemoryBudgetExceeded"),
+    # c = 2^12, 2^-12 and (d, c) = (1/2, 2^-8) run within the budget (see below)
+    "dilation-up-16": (dict(_CASE, c="2^16"), 3, "refining to spacing 2^-22 needs"),
+    "dilation-down-16": (dict(_CASE, c="1/2^16"), 3, "refining to spacing 2^-22 needs"),
     "half-d-dilation-up-12": (dict(_CASE, d="1/2", c="2^12"), 3, "MemoryBudgetExceeded"),
-    "half-d-dilation-down-8": (dict(_CASE, d="1/2", c="1/2^8"), 3, "MemoryBudgetExceeded"),
+    "half-d-dilation-down-16": (dict(_CASE, d="1/2", c="1/2^16"), 3,
+                                "refining to spacing 2^-22 needs"),
     # dilations whose quadrature step 2^-gs overflows or underflows a float
     **{f"dilation-up-{k}": (dict(_CASE, c=f"2^{k}"), 3, "MemoryBudgetExceeded")
        for k in (1020, 1030, 1100, 2100, 5000, 1000000000)},
@@ -570,6 +573,11 @@ _HOSTILE = {
     **{f"d-near-max-float-{k}": (dict(_CASE, f={"kind": "bump", "radius": 1}, d=f"1/2^-{k}"),
                                  2, "case 0: key 'd': the symbol f is not finite")
        for k in (1022, 1023)},
+    # the correlation's phase t d / c overflows a float
+    **{f"far-d-phase-{k}": (dict(_CASE, f={"kind": "bump", "radius": 1}, d=f"1/2^-{k}",
+                                 xi={"kind": "gaussian", "center": 0.25, "width": 0.5}),
+                            2, "the correlation phase 2 pi t d / c overflows a float")
+       for k in (1020, 1021)},
     "far-indicator": (dict(_CASE, xi={"kind": "indicator", "lo": "0", "hi": "1/2^-40"}), 3,
                       "an indicator at spacing 2^-6 needs"),
     "far-csv": (dict(_CASE, xi={"kind": "csv", "path": "far.csv"}), 3,
@@ -614,6 +622,23 @@ def test_hostile_case_file_exits_fast(tmp_path, name):
     # they do not grow when other processes share the host
     assert usage.ru_utime + usage.ru_stime < 1.0
     assert usage.ru_maxrss < 200 << 10  # kilobytes
+
+
+def test_coarse_dilation_runs_and_misses_its_tolerance():
+    # c = 2^12 fits the budget: the refinement of xi1 to 2^-18 holds 2^21 samples
+    report = run_duality_cases([dict(_CASE, c="2^12")], RunConfig())
+    assert not report["pass"]
+    assert f"{report['cases'][0]['residual']:.3e}" == "1.387e-03"
+
+
+def test_refusal_of_the_pairing_comes_before_the_correlation(monkeypatch):
+    # c = 2^16 would refine xi1 past the budget when paired; the correlation is never run
+    def refuse(*args):
+        raise AssertionError("the correlation ran")
+
+    monkeypatch.setattr(bimodule, "left_action", refuse)
+    with pytest.raises(MemoryBudgetExceeded, match="refining to spacing 2"):
+        run_duality_cases([dict(_CASE, c="2^16")], RunConfig())
 
 
 @pytest.mark.parametrize("text, error", [("1/2^-1000000000", ValueError),

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,12 +62,15 @@ def test_translate_integer_reindex():
 
 
 def test_translate_refines_fine_shift():
+    # the shift moves the stored samples to the finer grid; to_grid refines them
     xi = indicator(3, 0, 1)
     out = translate(xi, dyadic(1, 4))
-    assert out.spacing_exp == 4
-    assert out.start_index == 1
-    assert len(out) == 16
-    assert norm(out) == pytest.approx(norm(xi), abs=1e-12)
+    assert np.shares_memory(out.samples, xi.samples)
+    fine = out.to_grid(4)
+    assert fine.spacing_exp == 4
+    assert fine.start_index == 1
+    assert len(fine) == 16
+    assert norm(fine) == pytest.approx(norm(xi), abs=1e-12)
 
 
 def test_dilate_unitary_and_inverse():
@@ -235,6 +239,14 @@ def test_default_duality_transforms_are_band_limited(monkeypatch):
     assert report["pass"]
     assert len(sizes) == 2 * len(default_cases())
     assert max(sizes) < 2 ** 16
+
+
+def test_fine_dilation_passes_once_resolved():
+    # c = 2^-6 refines xi six levels; it fits the budget and passes from g = 7
+    case = dict(default_cases()[2], c="1/2^6")
+    report = run_duality_cases([case], RunConfig(grid_exp=7))
+    assert report["pass"]
+    assert report["cases"][0]["residual"] < 1e-10
 
 
 def test_plain_transform_beyond_budget_raises_before_allocating(monkeypatch):
@@ -431,6 +443,37 @@ def test_step_refine_exact():
     for style in ("step", "smooth"):
         empty = GridFunction(3, 5, [], style).refine()
         assert (empty.spacing_exp, empty.start_index, len(empty)) == (4, 0, 0)
+
+
+def test_refinement_allocates_its_exact_length():
+    # one FFT over a period padded once: 2^L periods, not a period padded at every level
+    xi = gaussian()
+    assert len(xi) == 439
+    for levels in range(1, 7):
+        bound = (1 << (levels + 1)) * (len(xi) + 2 * grid._TRIG_MARGIN)
+        tracemalloc.start()
+        try:
+            fine = xi.to_grid(G + levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(fine) == xi._refined_length(G + levels) <= bound
+        assert peak <= 8 * 16 * len(fine)  # a few complex arrays of the output's length
+    assert len(fine) == 32768  # the level-by-level refinement held 1,048,576
+
+
+def test_lagged_leg_refines_from_its_stored_samples():
+    # dilation and a fine translation keep the stored samples; reading the leg
+    # refines them once, exactly as refining first and moving the result
+    xi = gaussian(0.25, 0.75)
+    a, b = PowerOfTwo(-2), dyadic(3, G + 5)
+    moved = translate(dilate(xi, a), b)
+    assert (moved.spacing_exp, moved.lag) == (G + 5, 3)
+    direct = translate(dilate(xi.to_grid(G + 4), a), b)
+    assert (direct.spacing_exp, direct.lag) == (G + 6, 0)
+    fine = moved.to_grid(G + 6)
+    assert (fine.start_index, len(fine)) == (direct.start_index, len(direct))
+    assert np.array_equal(fine.samples, direct.samples)
 
 
 def test_trig_refine_interpolates():
