@@ -26,7 +26,10 @@ where such tails have fallen further, so that the step it leaves does not
 widen the band of a later transform.  Spectra that do not decay
 (indicators) keep the whole period; that plain length-L path refuses
 L > MAX_PLAIN_FFT with MemoryBudgetExceeded before allocating anything of
-length L.
+length L.  A Gaussian is sampled only where its computed values can reach
+_TAIL_CUTOFF, though the whole window still sets the sampling budget, and
+the chirps of the chirp-z transform are reused per transform size while
+together they fit a fixed bound.
 
 Translations and dilations keep the stored samples and move only lag and
 the integer positions.  Refinement happens once, in to_grid, from the stored
@@ -50,6 +53,10 @@ _TRIG_MARGIN = 16  # zero samples padded on each side before a trigonometric ref
 # longest transform over a whole period (2^24 points: 256 MiB per complex
 # array); g = 12 without dilation reaches it, spacing 2^-13 exceeds it
 MAX_PLAIN_FFT = 1 << 24
+# the chirps of _chirp_z kept between calls, by (transform size, sign), and the
+# most points they hold together (16 MiB); a longer chirp is computed per call
+_CHIRPS: dict[tuple[int, int], np.ndarray] = {}
+_MAX_CHIRP_CACHE = 1 << 20
 
 
 def _next_pow2(n: int) -> int:
@@ -228,13 +235,19 @@ def indicator(spacing_exp: int, lo: DyadicRational | int, hi: DyadicRational | i
 def sample_symbol(f, spacing_exp: int, lo: float, hi: float) -> GridFunction:
     """Sample a closed-form function on [lo, hi] at the given resolution.
 
-    More than MAX_PLAIN_FFT samples raise MemoryBudgetExceeded before any
-    is computed.
+    More than MAX_PLAIN_FFT samples on [lo, hi] raise MemoryBudgetExceeded
+    before any is computed.  A symbol with f_support() is evaluated only
+    where [lo, hi] meets it: the other points would be cut as tails.
     """
+    check_budget(math.ceil(hi * 2 ** spacing_exp) - math.floor(lo * 2 ** spacing_exp) + 1,
+                 f"sampling at spacing 2^-{spacing_exp}")
+    if hasattr(f, "f_support"):  # cut as floats: an end of the support may be infinite
+        flo, fhi = f.f_support()
+        lo, hi = max(lo, flo), min(hi, fhi)
+        if lo > hi:
+            return GridFunction(spacing_exp, 0, [], "smooth")
     start = math.floor(lo * 2 ** spacing_exp)
-    end = math.ceil(hi * 2 ** spacing_exp)
-    check_budget(end - start + 1, f"sampling at spacing 2^-{spacing_exp}")
-    x = (start + np.arange(end - start + 1)) * 2.0 ** (-spacing_exp)
+    x = (start + np.arange(math.ceil(hi * 2 ** spacing_exp) - start + 1)) * 2.0 ** (-spacing_exp)
     vals = np.asarray(f.f_values(x), dtype=complex)
     vals = np.where(np.abs(vals) < _TAIL_CUTOFF, 0, vals)
     return GridFunction(spacing_exp, start, vals, "smooth")
@@ -353,6 +366,23 @@ def _band(coarse: np.ndarray, size: int) -> tuple[int, int]:
     return lo, hi
 
 
+def _chirp(size: int, sign: int, length: int) -> np.ndarray:
+    """e(sign k^2 / (2 size)) for k in [0, length), the exponent reduced exactly in
+    integers; cached per (size, sign) while all cached chirps fit _MAX_CHIRP_CACHE."""
+    cached = _CHIRPS.get((size, sign))
+    if cached is not None and len(cached) >= length:
+        return cached[:length]
+    k = np.arange(length, dtype=np.int64)
+    chirp = np.exp(sign * 1j * np.pi * ((k * k) % (2 * size)) / size)
+    if length <= _MAX_CHIRP_CACHE:
+        _CHIRPS.pop((size, sign), None)
+        if sum(map(len, _CHIRPS.values())) + length > _MAX_CHIRP_CACHE:
+            _CHIRPS.clear()
+        chirp.flags.writeable = False  # callers share it
+        _CHIRPS[size, sign] = chirp
+    return chirp
+
+
 def _chirp_z(x: np.ndarray, size: int, lo: int, m: int, sign: int) -> np.ndarray:
     """sum_k x_k e(sign (lo + q) k / size) for q in [0, m), by Bluestein's algorithm.
 
@@ -362,9 +392,9 @@ def _chirp_z(x: np.ndarray, size: int, lo: int, m: int, sign: int) -> np.ndarray
     """
     n = len(x)
     nfft = _next_pow2(n + m - 1)
-    k = np.arange(max(n, m), dtype=np.int64)
-    chirp = np.exp(sign * 1j * np.pi * ((k * k) % (2 * size)) / size)
-    a = x * chirp[:n] * np.exp(sign * 2j * np.pi * ((lo * k[:n]) % size) / size)
+    chirp = _chirp(size, sign, max(n, m))
+    k = np.arange(n, dtype=np.int64)
+    a = x * chirp[:n] * np.exp(sign * 2j * np.pi * ((lo * k) % size) / size)
     b = np.zeros(nfft, dtype=complex)
     b[:m] = chirp[:m].conj()
     b[nfft - n + 1:] = chirp[1:n][::-1].conj()
@@ -478,8 +508,16 @@ class GaussianSymbol:
 
     def f_values(self, x):
         x = np.asarray(x, dtype=float)
-        return np.exp(-np.pi * ((x - self.center) / self.width) ** 2) \
-            * np.exp(2j * np.pi * self.modulation * x)
+        vals = np.exp(-np.pi * ((x - self.center) / self.width) ** 2)
+        if self.modulation == 0:  # e(0 x) is exactly 1 + 0j
+            return vals
+        return vals * np.exp(2j * np.pi * self.modulation * x)
+
+    def f_support(self):
+        """An interval outside which every computed |f| is below _TAIL_CUTOFF, widened
+        past rounding; it is infinite when the radius overflows a float."""
+        radius = self.width * math.sqrt(-math.log(_TAIL_CUTOFF) / math.pi) * 1.001 + 1e-9
+        return self.center - radius, self.center + radius
 
     def fcheck_values(self, s):
         s = np.asarray(s, dtype=float)

@@ -550,6 +550,12 @@ _HOSTILE = {
                         "case 0: key 'xi': the vector is zero"),
     "far-gaussian": (dict(_CASE, xi1={"kind": "gaussian", "center": 1e9}), 2,
                      "case 0: key 'xi1': the vector is zero"),
+    # Gaussians whose support, cut from the window as floats, lies beyond it
+    "huge-gaussian-center": (dict(_CASE, xi={"kind": "gaussian", "center": 1e308}), 2,
+                             "case 0: key 'xi': the vector is zero"),
+    "huge-negative-gaussian-center": (
+        dict(_CASE, xi={"kind": "gaussian", "center": -1.7e308, "width": 1e300}), 2,
+        "case 0: key 'xi': the vector is zero"),
     "fine-d": (dict(_CASE, d="1/2^100"), 3, "2^100 subclasses, over the budget"),
     # c = 2^12, 2^-12 and (d, c) = (1/2, 2^-8) run within the budget (see below)
     "dilation-up-16": (dict(_CASE, c="2^16"), 3, "refining to spacing 2^-22 needs"),
@@ -629,6 +635,17 @@ def test_coarse_dilation_runs_and_misses_its_tolerance():
     report = run_duality_cases([dict(_CASE, c="2^12")], RunConfig())
     assert not report["pass"]
     assert f"{report['cases'][0]['residual']:.3e}" == "1.387e-03"
+
+
+def test_flat_gaussian_is_sampled_on_the_whole_window(monkeypatch):
+    # width 1e308 overflows the support's radius to inf; the case reads the
+    # same residual as when every Gaussian samples the whole window
+    case = dict(_CASE, xi={"kind": "gaussian", "width": 1e308})
+    report = run_duality_cases([case], RunConfig(grid_exp=8))
+    monkeypatch.delattr(grid.GaussianSymbol, "f_support")
+    reference = run_duality_cases([case], RunConfig(grid_exp=8))
+    assert report["pass"]
+    assert report["cases"][0]["residual"] == reference["cases"][0]["residual"]
 
 
 def test_refusal_of_the_pairing_comes_before_the_correlation(monkeypatch):

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qadic import grid
 from qadic.cli import RunConfig, default_cases, run_duality_cases
@@ -270,6 +272,51 @@ def test_band_transform_beyond_budget_raises_before_allocating(monkeypatch):
         fourier(far)
 
 
+def _uncached_chirp_z(x, size, lo, m, sign):
+    # Bluestein's chirp-z with its chirp computed afresh on every call
+    n = len(x)
+    nfft = grid._next_pow2(n + m - 1)
+    k = np.arange(max(n, m), dtype=np.int64)
+    chirp = np.exp(sign * 1j * np.pi * ((k * k) % (2 * size)) / size)
+    a = x * chirp[:n] * np.exp(sign * 2j * np.pi * ((lo * k[:n]) % size) / size)
+    b = np.zeros(nfft, dtype=complex)
+    b[:m] = chirp[:m].conj()
+    b[nfft - n + 1:] = chirp[1:n][::-1].conj()
+    return np.fft.ifft(np.fft.fft(a, nfft) * np.fft.fft(b))[:m] * chirp[:m]
+
+
+def test_chirp_z_from_the_cache_is_bit_identical(monkeypatch):
+    # a small bound, so that chirps are evicted, replaced by longer ones and
+    # sliced from longer ones; the last call's chirp is longer than the bound
+    bound = 3000
+    monkeypatch.setattr(grid, "_CHIRPS", {})
+    monkeypatch.setattr(grid, "_MAX_CHIRP_CACHE", bound)
+    rng = np.random.default_rng(7)
+    calls = [(1 << int(rng.integers(10, 23)), int(rng.choice([1, -1])),
+              int(rng.integers(1, 1500)), int(rng.integers(1, 1500))) for _ in range(60)]
+    calls += [(1 << 22, 1, 40, bound + 1), (1 << 10, -1, 20, 30)]
+    cleared = 0
+    for size, sign, n, m in calls:
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        lo = int(rng.integers(-size // 2, size // 2))
+        before = len(grid._CHIRPS)
+        out = grid._chirp_z(x, size, lo, m, sign)
+        cleared += len(grid._CHIRPS) < before
+        assert np.array_equal(out, _uncached_chirp_z(x, size, lo, m, sign))
+        assert sum(map(len, grid._CHIRPS.values())) <= bound
+    assert cleared  # some calls ran after an eviction
+    assert all(len(chirp) <= bound for chirp in grid._CHIRPS.values())
+
+
+def test_duality_keeps_its_chirps_within_the_bound(monkeypatch):
+    monkeypatch.setattr(grid, "_CHIRPS", {})
+    assert run_duality_cases(default_cases(), RunConfig(grid_exp=10))["pass"]
+    assert grid._CHIRPS  # the chirp-z transforms of the default cases kept their chirps
+    assert sum(map(len, grid._CHIRPS.values())) <= grid._MAX_CHIRP_CACHE
+    with pytest.raises(ValueError):  # shared between calls, so read-only
+        next(iter(grid._CHIRPS.values()))[0] = 0
+
+
 def test_points_beyond_int64():
     rng = random.Random(5)
     for _ in range(200):  # bit-identical to (start + k) h where that is exact
@@ -484,6 +531,41 @@ def test_trig_refine_interpolates():
         idx = 2 * (xi.start_index + k) - fine.start_index
         if 0 <= idx < len(fine):
             assert abs(fine.samples[idx] - xi.samples[k]) <= 1e-9
+
+
+# -- sampling closed-form symbols -------------------------------------------------------
+
+
+def _window_sampled(sym, g, lo, hi):
+    # every point of the window, then the tail cutoff and GridFunction's trim
+    start, end = math.floor(lo * 2 ** g), math.ceil(hi * 2 ** g)
+    x = (start + np.arange(end - start + 1)) * 2.0 ** -g
+    with np.errstate(over="ignore"):
+        vals = np.exp(-np.pi * ((x - sym.center) / sym.width) ** 2) \
+            * np.exp(2j * np.pi * sym.modulation * x)
+    vals = np.where(np.abs(vals) < grid._TAIL_CUTOFF, 0, vals)
+    return GridFunction(g, start, vals, "smooth")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-40, 40) | st.sampled_from([1e9, -1e9, 1e308, -1e308]),
+       st.floats(1e-3, 1e3) | st.just(1e308),
+       st.just(0.0) | st.floats(-40, 40),
+       st.integers(3, 12), st.sampled_from([1 << k for k in range(7)]))
+@example(0.0, 1e308, 0.0, 12, 16)  # the support overflows a float: the whole window
+@example(1e308, 1.0, 0.0, 12, 16)  # the support lies beyond the window: no sample
+@example(-1.7e308, 1e300, 0.0, 12, 16)
+def test_gaussian_sampled_on_its_support_equals_the_window(center, width, modulation, g,
+                                                           window):
+    sym = GaussianSymbol(center, width, modulation)
+    leg = sample_symbol(sym, g, -window, window)
+    ref = _window_sampled(sym, g, -window, window)
+    assert leg.spacing_exp == g and leg.style == "smooth"
+    if ref.is_zero():
+        assert leg.is_zero()
+    else:
+        assert leg.start_index == ref.start_index
+        assert np.array_equal(leg.samples, ref.samples)
 
 
 # -- symbols ----------------------------------------------------------------------------
