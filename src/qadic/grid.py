@@ -48,6 +48,7 @@ from .errors import MemoryBudgetExceeded
 from .numbers import DyadicRational, PowerOfTwo, as_dyadic, dyadic
 
 _TAIL_CUTOFF = 1e-16
+_TAIL_RADIUS = math.sqrt(-math.log(_TAIL_CUTOFF) / math.pi)  # exp(-pi r^2) = _TAIL_CUTOFF
 _BAND_MARGIN = 3  # coarse cells kept beyond the significant band on each side
 _TRIG_MARGIN = 16  # zero samples padded on each side before a trigonometric refinement
 # longest transform over a whole period (2^24 points: 256 MiB per complex
@@ -516,7 +517,7 @@ class GaussianSymbol:
     def f_support(self):
         """An interval outside which every computed |f| is below _TAIL_CUTOFF, widened
         past rounding; it is infinite when the radius overflows a float."""
-        radius = self.width * math.sqrt(-math.log(_TAIL_CUTOFF) / math.pi) * 1.001 + 1e-9
+        radius = self.width * _TAIL_RADIUS * 1.001 + 1e-9
         return self.center - radius, self.center + radius
 
     def fcheck_values(self, s):
@@ -526,7 +527,7 @@ class GaussianSymbol:
             * np.exp(-2j * np.pi * rel * self.center)
 
     def fcheck_support(self):
-        radius = math.sqrt(-math.log(_TAIL_CUTOFF) / math.pi) / self.width
+        radius = _TAIL_RADIUS / self.width
         return self.modulation - radius, self.modulation + radius
 
     def sup_estimate(self):
