@@ -7,8 +7,10 @@ Fourier transform uses the e(tx) = exp(2*pi*i*t*x) convention throughout
 and is realized by DFTs with the phase and scale corrections that turn
 the DFT into a Riemann sum of the defining integral.
 
-The transform of n samples lives on a reciprocal grid of L = _fft_size(xi)
-points per period (L >= 4^g) but keeps only its significant band.  One
+The transform of n samples at spacing 2^-g lives on a reciprocal grid of
+L = _fft_size(xi) points per period, sized from the leg it carries: L holds
+every index of the leg without wraparound and L >= 2^(g+4), so the reciprocal
+spacing is at most 2^-4, but it keeps only its significant band.  One
 coarse DFT of length P = min(L, next_pow2(2n)) gives every (L/P)-th output
 point; P >= 2n because at P = n the coarse points of an n-sample indicator
 fall on the zeros of its Dirichlet kernel and hide its sidelobes.  The band
@@ -23,7 +25,8 @@ coarse point is below h times the bound, the error an FFT over the whole
 period already makes at each point; dropped points between coarse points
 obey it for spectra that decay beyond the band.  The margin puts the cut
 where such tails have fallen further, so that the step it leaves does not
-widen the band of a later transform.  Spectra that do not decay
+widen the band of a later transform.  Chirp-z serves legs far off centre:
+they need a long period, but only a narrow band.  Spectra that do not decay
 (indicators) keep the whole period; that plain length-L path refuses
 L > MAX_PLAIN_FFT with MemoryBudgetExceeded before allocating anything of
 length L.  A Gaussian is sampled only where its computed values can reach
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 
 import numpy as np
 
@@ -289,8 +293,12 @@ def multiply(f, xi: GridFunction) -> GridFunction:
 
 
 def rep_apply(f, b: DyadicRational | int, a: PowerOfTwo, xi: GridFunction) -> GridFunction:
-    """M_f T_b D_a xi: multiplication after translation after dilation."""
-    return multiply(f, translate(dilate(xi, a), b))
+    """M_f T_b D_a xi: multiplication after translation after dilation, at a spacing
+    2^-need with 2^need >= 4 max(|slo|, |shi|) for the support of fcheck, f's band."""
+    leg = translate(dilate(xi, a), b)
+    mantissa, bits = math.frexp(max(map(abs, f.fcheck_support())))  # no float error at 0 or inf
+    need = bits + 2 - (mantissa == 0.5)  # ceil(log2(2 max(|slo|, |shi|))) + 1
+    return multiply(f, leg.to_grid(max(leg.spacing_exp, need)))
 
 
 def inner(xi1: GridFunction, xi2: GridFunction) -> complex:
@@ -325,9 +333,10 @@ def norm(xi: GridFunction) -> float:
 def _fft_size(xi: GridFunction) -> int:
     m = len(xi.samples)
     # all indices must fit in [-size/2, size/2) to avoid wraparound, and the
-    # reciprocal grid is kept at least as fine as the input's
+    # reciprocal spacing 2^spacing_exp / size stays at or below 2^-4: a smaller
+    # margin raises the residuals of cases whose spectra do not decay (indicators)
     fit = 2 * max(-xi.start_index, xi.start_index + m, 1)
-    resolution = 1 << max(0, min(2 * xi.spacing_exp, 26))
+    resolution = 1 << max(0, xi.spacing_exp + 4)
     return _next_pow2(max(m, fit, resolution, 8))
 
 
@@ -435,7 +444,8 @@ def twisted_correlation(f, d: DyadicRational | int, c: PowerOfTwo,
     The integral is truncated to the support of fcheck and evaluated as a
     Riemann sum whose nodes land exactly on a refinement of xi's grid; all
     output points come from one FFT convolution, refused beyond
-    MAX_PLAIN_FFT points before xi is refined.
+    MAX_PLAIN_FFT points before xi is refined.  For a far d, the nodes and
+    xi are refined until 2^gs > 4|d| once the phases are known to fit a float.
     """
     d = as_dyadic(d)
     e = c.exponent
@@ -445,8 +455,8 @@ def twisted_correlation(f, d: DyadicRational | int, c: PowerOfTwo,
     if xi.is_zero():
         return GridFunction(g, 0, [], "smooth")
     # at least (shi - slo) 2^gs - 1 >= 2^bits - 1 nodes: the budget decides on bits
-    # before 2^gs is formed, which no float holds past 2^1023
-    bits = math.frexp(shi - slo)[1] - 1 + gs if shi > slo else 0
+    # before 2^gs is formed, which no float holds past 2^1023 (nor an infinite support)
+    bits = math.frexp(min(shi - slo, sys.float_info.max))[1] - 1 + gs if shi > slo else 0
     if bits >= MAX_PLAIN_FFT.bit_length():
         raise MemoryBudgetExceeded(f"the correlation needs over 2^{bits - 1} points,"
                                    f" over the budget of {MAX_PLAIN_FFT}")
@@ -467,6 +477,9 @@ def twisted_correlation(f, d: DyadicRational | int, c: PowerOfTwo,
     reach = max(max(-m_lo, m_hi) * delta, float(np.abs(t).max(initial=0))) * 2.0 ** max(0, -e)
     if not math.isfinite(2 * math.pi * float(d) * reach):  # the float phases of s d and t d / c
         raise ValueError("the correlation phase 2 pi t d / c overflows a float")
+    far = (abs(d.numerator) >> d.exponent).bit_length() + 2 - gs if d.numerator else 0
+    if far > 0:  # nodes 2^-gs apart read e(s d) as e(s (d mod 2^gs)): refine until 2^gs > 4|d|
+        return twisted_correlation(f, d, c, xi.to_grid(g + far))
     weights = delta * np.asarray(f.fcheck_values(s_vals), dtype=complex) \
         * np.exp(2j * np.pi * float(d) * s_vals)
     size = _next_pow2(len(lookup) + len(weights) - 1)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -678,6 +679,48 @@ def test_equivalence_residual_converges():
     coarse = equivalence_residual(f, d, c, *default_xis(6))
     fine = equivalence_residual(f, d, c, *default_xis(8))
     assert fine * 2 <= coarse
+
+
+# the default residuals when every transform had reciprocal spacing 2^-g (4^g points)
+FINE_RECIPROCAL_RESIDUALS = {
+    6: [1.9292e-10, 6.9498e-11, 2.3620e-12, 1.2618e-11, 2.6276e-12],
+    8: [7.5366e-13, 2.7145e-13, 9.3269e-15, 4.9230e-14, 1.0243e-14],
+}
+
+
+def test_equivalence_residuals_keep_their_error_behaviour():
+    # transforms sized from their legs: at g = 6 and 8 the residuals rise by 10 % at
+    # most, and from g = 10 on they stay at the roundoff floor
+    f = BumpSymbol(0.0, 1.5)
+    for g in (6, 8, 10, 12):
+        xis, fine = default_xis(g), FINE_RECIPROCAL_RESIDUALS.get(g)
+        for k, (d, c, _) in enumerate(EQUIV_CASES):
+            bound = 1.1 * fine[k] if fine else 1e-14
+            assert equivalence_residual(f, d, c, *xis) <= bound, (g, d, c)
+
+
+def indicator_residual(g):
+    """The residual of case (1/2, 2) with the vectors 1_[-1/2, 1) and 1_[0, 3/4)."""
+    return equivalence_residual(BumpSymbol(0.0, 1.5), dyadic(1, 1), PowerOfTwo(1),
+                                indicator(g, 0, dyadic(3, 2)), indicator(g, dyadic(-1, 1), 1))
+
+
+@pytest.mark.parametrize("g,want", [(8, 1.4589e-4), (10, 3.6441e-5), (11, 1.8218e-5)])
+def test_indicator_residuals_keep_their_values(g, want):
+    # the values read when every transform had reciprocal spacing 2^-g
+    assert indicator_residual(g) == pytest.approx(want, rel=1e-3)
+
+
+def test_indicator_case_fits_at_g12():
+    # at reciprocal spacing 2^-g this case needed a 2^26-point transform
+    tracemalloc.start()
+    try:
+        residual = indicator_residual(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual <= 5e-3
+    assert peak < 100 << 20
 
 
 def default_case_legs():

@@ -483,16 +483,19 @@ def test_cmd_duality_custom_cases(tmp_path, capsys):
 
 
 def test_cmd_duality_memory_budget_exit(tmp_path, capsys):
-    # an indicator at spacing 2^-13 needs a 2^26-point transform over the whole period
+    # an indicator at spacing 2^-21 needs a 2^25-point transform over the whole period;
+    # the narrow bump keeps the correlation before it at 2^18 nodes
     cases = [{
-        "f": {"kind": "bump", "center": 0.0, "radius": 1.0},
+        "f": {"kind": "bump", "center": 0.0, "radius": 0.0625},
         "d": "0", "c": "1",
-        "xi": {"kind": "indicator", "lo": "0", "hi": "1/2^13"},
+        "xi": {"kind": "indicator", "lo": "0", "hi": "1/2^21"},
     }]
     path = tmp_path / "cases.json"
     path.write_text(json.dumps(cases))
     assert main(["duality", "--cases", str(path)]) == 3
-    assert "MemoryBudgetExceeded" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "MemoryBudgetExceeded" in err
+    assert "a Fourier transform over the whole period needs 33554432 points" in err
 
 
 def test_cmd_duality_tabulated_symbol_and_step_csv_vector(tmp_path, capsys):
@@ -584,6 +587,12 @@ _HOSTILE = {
                                  xi={"kind": "gaussian", "center": 0.25, "width": 0.5}),
                             2, "the correlation phase 2 pi t d / c overflows a float")
        for k in (1020, 1021)},
+    # f's band, the support of fcheck, needs more quadrature nodes than the budget
+    # allows; at width 1e-320 its radius overflows to inf
+    "wide-band": (dict(_CASE, f={"kind": "gaussian", "width": 1e-7}), 3,
+                  "the correlation needs over 2^31 points"),
+    "infinite-band": (dict(_CASE, f={"kind": "gaussian", "width": 1e-320}), 3,
+                      "the correlation needs over 2^1028 points"),
     "far-indicator": (dict(_CASE, xi={"kind": "indicator", "lo": "0", "hi": "1/2^-40"}), 3,
                       "an indicator at spacing 2^-6 needs"),
     "far-csv": (dict(_CASE, xi={"kind": "csv", "path": "far.csv"}), 3,
@@ -630,11 +639,27 @@ def test_hostile_case_file_exits_fast(tmp_path, name):
     assert usage.ru_maxrss < 200 << 10  # kilobytes
 
 
-def test_coarse_dilation_runs_and_misses_its_tolerance():
-    # c = 2^12 fits the budget: the refinement of xi1 to 2^-18 holds 2^21 samples
-    report = run_duality_cases([dict(_CASE, c="2^12")], RunConfig())
-    assert not report["pass"]
-    assert f"{report['cases'][0]['residual']:.3e}" == "1.387e-03"
+def test_coarse_dilation_passes_once_resolved():
+    # c = 2^12 fits the budget: the refinement of xi1 to 2^-18 holds 2^21 samples.
+    # rep_apply multiplies f on a grid that resolves f's band, so the standard side
+    # reads 0.0160678043, the normalized coefficient a 2M-point quadrature of the
+    # closed form gives
+    for c in ("2^8", "2^10", "2^12"):
+        report = run_duality_cases([dict(_CASE, c=c)], RunConfig())
+        assert report["pass"] and report["cases"][0]["residual"] < 1e-12, c
+    xi = cli.build_vector(_CASE["xi"], RunConfig())
+    standard = grid.inner(xi, grid.fourier(grid.rep_apply(
+        grid.BumpSymbol(), 0, PowerOfTwo(12), grid.fourier_inv(xi))))
+    assert abs(standard / grid.inner(xi, xi) - 0.0160678043) < 1e-10
+
+
+@pytest.mark.parametrize("g,d", [(6, d) for d in (64, 128, 256, 384, 768, 513, 1023)]
+                         + [(10, d) for d in (1023, 1024, 2048, 4096)])
+def test_far_translation_is_not_aliased(g, d):
+    # quadrature nodes 2^-g apart read e(s d) as e(s (d mod 2^g)): unrefined, these
+    # cases read 0.8625 (d = 0 mod 2^g) or 0.1917 (d = 1 or -1 mod 2^g)
+    report = run_duality_cases([dict(default_cases()[1], d=str(d))], RunConfig(grid_exp=g))
+    assert report["pass"] and report["cases"][0]["residual"] < 1e-12
 
 
 def test_flat_gaussian_is_sampled_on_the_whole_window(monkeypatch):

@@ -230,17 +230,21 @@ def test_fourier_output_is_band_limited():
 
 
 def test_default_duality_transforms_are_band_limited(monkeypatch):
-    sizes = []
+    sizes, periods = [], []
     for name in ("fourier", "fourier_inv"):
         def counted(xi, _inner=getattr(grid, name)):
             out = _inner(xi)
             sizes.append(len(out))
             return out
         monkeypatch.setattr(grid, name, counted)
-    report = run_duality_cases(default_cases(), RunConfig(grid_exp=10))
-    assert report["pass"]
-    assert len(sizes) == 2 * len(default_cases())
+    fft_size = grid._fft_size
+    monkeypatch.setattr(grid, "_fft_size", lambda xi: periods.append(fft_size(xi)) or periods[-1])
+    for g in (10, 12):
+        assert run_duality_cases(default_cases(), RunConfig(grid_exp=g))["pass"]
+    assert len(sizes) == len(periods) == 4 * len(default_cases())
     assert max(sizes) < 2 ** 16
+    # each period is sized from its leg; a reciprocal spacing of 2^-g would take 2^26
+    assert max(periods) <= 2 ** 16
 
 
 def test_fine_dilation_passes_once_resolved():
@@ -256,11 +260,24 @@ def test_plain_transform_beyond_budget_raises_before_allocating(monkeypatch):
     dft = grid._dft
     monkeypatch.setattr(grid, "_dft",
                         lambda x, size, sign: sizes.append(size) or dft(x, size, sign))
-    xi = indicator(13, 0, 1)  # spacing 2^-13: a period of 2^26 points, no decay
+    xi = indicator(21, 0, dyadic(1, 8))  # 2^13 samples at 2^-21: a period of 2^25, no decay
     assert grid._fft_size(xi) > grid.MAX_PLAIN_FFT
     with pytest.raises(MemoryBudgetExceeded):
         fourier(xi)
     assert sizes and max(sizes) <= 4 * len(xi)
+
+
+def test_wide_band_is_refused_before_the_multiply():
+    # fcheck of a Gaussian of width 1e-7 reaches 6e7: f's band needs spacing 2^-28
+    leg = fourier_inv(gaussian())
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetExceeded, match="refining to spacing 2.-28 needs"):
+            grid.rep_apply(GaussianSymbol(0.0, 1e-7), 0, PowerOfTwo(0), leg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_band_transform_beyond_budget_raises_before_allocating(monkeypatch):
@@ -309,9 +326,12 @@ def test_chirp_z_from_the_cache_is_bit_identical(monkeypatch):
 
 
 def test_duality_keeps_its_chirps_within_the_bound(monkeypatch):
+    # legs far off centre: a long period, but a narrow band cut out by chirp-z
+    case = dict(default_cases()[2], xi={"kind": "gaussian", "center": 12, "width": 0.5},
+                xi1={"kind": "gaussian", "center": 12.5, "width": 1})
     monkeypatch.setattr(grid, "_CHIRPS", {})
-    assert run_duality_cases(default_cases(), RunConfig(grid_exp=10))["pass"]
-    assert grid._CHIRPS  # the chirp-z transforms of the default cases kept their chirps
+    assert run_duality_cases([case], RunConfig(grid_exp=10))["pass"]
+    assert grid._CHIRPS  # the chirp-z transforms of the case kept their chirps
     assert sum(map(len, grid._CHIRPS.values())) <= grid._MAX_CHIRP_CACHE
     with pytest.raises(ValueError):  # shared between calls, so read-only
         next(iter(grid._CHIRPS.values()))[0] = 0
