@@ -267,7 +267,8 @@ def equivalence_residual(f, d: DyadicRational | int, c: PowerOfTwo,
     """
     # refuse refining xi1 for the pairing with the correlated legs (xi2's grid, m = 1/c) first
     xi1._refined_length(_pairing_grid(c.exponent, xi1.spacing_exp, xi2.spacing_exp))
+    # and F^-1 xi2's transform over its whole period before the twisted correlation runs
+    leg = gridmod.fourier_inv(xi2)
     lhs = induced_inner(induce(xi1), left_action(f, d, c, induce(xi2)))
-    rhs = inner(xi1, gridmod.fourier(gridmod.rep_apply(
-        f, d, c, gridmod.fourier_inv(xi2))))
+    rhs = inner(xi1, gridmod.fourier(gridmod.rep_apply(f, d, c, leg)))
     return abs(lhs - rhs) / (gridmod.norm(xi1) * gridmod.norm(xi2))

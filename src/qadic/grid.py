@@ -30,9 +30,7 @@ they need a long period, but only a narrow band.  Spectra that do not decay
 (indicators) keep the whole period; that plain length-L path refuses
 L > MAX_PLAIN_FFT with MemoryBudgetExceeded before allocating anything of
 length L.  A Gaussian is sampled only where its computed values can reach
-_TAIL_CUTOFF, though the whole window still sets the sampling budget, and
-the chirps of the chirp-z transform are reused per transform size while
-together they fit a fixed bound.
+_TAIL_CUTOFF, though the whole window still sets the sampling budget.
 
 Translations and dilations keep the stored samples and move only lag and
 the integer positions.  Refinement happens once, in to_grid, from the stored
@@ -58,10 +56,6 @@ _TRIG_MARGIN = 16  # zero samples padded on each side before a trigonometric ref
 # longest transform over a whole period (2^24 points: 256 MiB per complex
 # array); g = 12 without dilation reaches it, spacing 2^-13 exceeds it
 MAX_PLAIN_FFT = 1 << 24
-# the chirps of _chirp_z kept between calls, by (transform size, sign), and the
-# most points they hold together (16 MiB); a longer chirp is computed per call
-_CHIRPS: dict[tuple[int, int], np.ndarray] = {}
-_MAX_CHIRP_CACHE = 1 << 20
 
 
 def _next_pow2(n: int) -> int:
@@ -130,10 +124,6 @@ class GridFunction:
             n = (n if self.style == "step" else _next_pow2(n + 2 * _TRIG_MARGIN)) << min(levels, 64)
             check_budget(n, f"refining to spacing 2^-{spacing_exp}")
         return n
-
-    def refine(self) -> "GridFunction":
-        """Double the sampling rate according to the style flag."""
-        return self.to_grid(self.spacing_exp + 1)
 
     def to_grid(self, spacing_exp: int) -> "GridFunction":
         """Samples at every point of 2^-spacing_exp Z, from the stored ones in one step: a
@@ -376,23 +366,6 @@ def _band(coarse: np.ndarray, size: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _chirp(size: int, sign: int, length: int) -> np.ndarray:
-    """e(sign k^2 / (2 size)) for k in [0, length), the exponent reduced exactly in
-    integers; cached per (size, sign) while all cached chirps fit _MAX_CHIRP_CACHE."""
-    cached = _CHIRPS.get((size, sign))
-    if cached is not None and len(cached) >= length:
-        return cached[:length]
-    k = np.arange(length, dtype=np.int64)
-    chirp = np.exp(sign * 1j * np.pi * ((k * k) % (2 * size)) / size)
-    if length <= _MAX_CHIRP_CACHE:
-        _CHIRPS.pop((size, sign), None)
-        if sum(map(len, _CHIRPS.values())) + length > _MAX_CHIRP_CACHE:
-            _CHIRPS.clear()
-        chirp.flags.writeable = False  # callers share it
-        _CHIRPS[size, sign] = chirp
-    return chirp
-
-
 def _chirp_z(x: np.ndarray, size: int, lo: int, m: int, sign: int) -> np.ndarray:
     """sum_k x_k e(sign (lo + q) k / size) for q in [0, m), by Bluestein's algorithm.
 
@@ -402,9 +375,9 @@ def _chirp_z(x: np.ndarray, size: int, lo: int, m: int, sign: int) -> np.ndarray
     """
     n = len(x)
     nfft = _next_pow2(n + m - 1)
-    chirp = _chirp(size, sign, max(n, m))
-    k = np.arange(n, dtype=np.int64)
-    a = x * chirp[:n] * np.exp(sign * 2j * np.pi * ((lo * k) % size) / size)
+    k = np.arange(max(n, m), dtype=np.int64)
+    chirp = np.exp(sign * 1j * np.pi * ((k * k) % (2 * size)) / size)  # e(sign k^2 / 2 size)
+    a = x * chirp[:n] * np.exp(sign * 2j * np.pi * ((lo * k[:n]) % size) / size)
     b = np.zeros(nfft, dtype=complex)
     b[:m] = chirp[:m].conj()
     b[nfft - n + 1:] = chirp[1:n][::-1].conj()
@@ -543,9 +516,6 @@ class GaussianSymbol:
         radius = _TAIL_RADIUS / self.width
         return self.modulation - radius, self.modulation + radius
 
-    def sup_estimate(self):
-        return 1.0
-
 
 class BumpSymbol:
     """Symbol whose inverse transform is a raised-cosine bump.
@@ -626,8 +596,12 @@ def import_csv(path, style: str = "smooth") -> GridFunction:
         for row in reader:
             if not row:
                 continue
-            xs.append(float(row[0]))
-            vals.append(complex(float(row[1]), float(row[2])))
+            values = [float(v) for v in row[:3]]
+            if len(values) < 3 or not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}, row {reader.line_num}: x, re and im must be"
+                                 " finite numbers")
+            xs.append(values[0])
+            vals.append(complex(values[1], values[2]))
     if not xs:
         return GridFunction(0, 0, [], style)
     diffs = sorted({round(b - a, 15) for a, b in zip(xs, xs[1:])})

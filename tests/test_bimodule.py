@@ -563,7 +563,8 @@ def test_induced_act_norm_bound():
     f = GaussianSymbol(0.25, 0.7)
     v = induce(small_gaussian(0.3, 0.5))
     out = left_action(f, dyadic(1, 1), PowerOfTwo(1), v)
-    assert induced_norm(out) <= (1 + 1e-6) * f.sup_estimate() * induced_norm(v) + 1e-9
+    # sup |f| = 1 for a Gaussian symbol
+    assert induced_norm(out) <= (1 + 1e-6) * 1.0 * induced_norm(v) + 1e-9
 
 
 def test_induced_act_near_identity():

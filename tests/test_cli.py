@@ -482,22 +482,6 @@ def test_cmd_duality_custom_cases(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cmd_duality_memory_budget_exit(tmp_path, capsys):
-    # an indicator at spacing 2^-21 needs a 2^25-point transform over the whole period;
-    # the narrow bump keeps the correlation before it at 2^18 nodes
-    cases = [{
-        "f": {"kind": "bump", "center": 0.0, "radius": 0.0625},
-        "d": "0", "c": "1",
-        "xi": {"kind": "indicator", "lo": "0", "hi": "1/2^21"},
-    }]
-    path = tmp_path / "cases.json"
-    path.write_text(json.dumps(cases))
-    assert main(["duality", "--cases", str(path)]) == 3
-    err = capsys.readouterr().err
-    assert "MemoryBudgetExceeded" in err
-    assert "a Fourier transform over the whole period needs 33554432 points" in err
-
-
 def test_cmd_duality_tabulated_symbol_and_step_csv_vector(tmp_path, capsys):
     # a symbol read from sample files and a vector read as a step function;
     # at c = 1/2 the vector is refined, where the step style changes the result
@@ -599,6 +583,15 @@ _HOSTILE = {
                 "a CSV grid function at spacing 2^-10 needs"),
     "far-tabulated": (dict(_CASE, f={"kind": "tabulated", "f_csv": "far.csv",
                                      "fcheck_csv": "far.csv"}), 3, "a CSV grid function"),
+    # a nan sample, refused by the reader before it reaches a transform
+    "nan-csv": (dict(_CASE, xi={"kind": "csv", "path": "nan.csv"}), 2,
+                "case 0: nan.csv, row 3: x, re and im must be finite numbers"),
+    "nan-tabulated": (dict(_CASE, f={"kind": "tabulated", "f_csv": "nan.csv",
+                                     "fcheck_csv": "nan.csv"}), 2, "nan.csv, row 3"),
+    # an indicator at spacing 2^-21 needs a 2^25-point transform over the whole period,
+    # refused before the correlation spans fcheck's support at that spacing
+    "fine-indicator": (dict(_CASE, xi={"kind": "indicator", "lo": "0", "hi": "1/2^21"}), 3,
+                       "a Fourier transform over the whole period needs 33554432 points"),
 }
 
 
@@ -616,6 +609,7 @@ def test_hostile_case_file_exits_fast(tmp_path, name):
     path.write_text(json.dumps([case]))
     # three samples spanning 2^40 points of spacing 2^-10
     (tmp_path / "far.csv").write_text(f"x,re,im\n0,1,0\n{2.0 ** -10!r},1,0\n{2.0 ** 30!r},1,0\n")
+    (tmp_path / "nan.csv").write_text("x,re,im\n0,1,0\n0.5,nan,0\n")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     with open(tmp_path / "err.txt", "w+") as err:
