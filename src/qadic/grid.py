@@ -35,7 +35,9 @@ _TAIL_CUTOFF, though the whole window still sets the sampling budget.
 Translations and dilations keep the stored samples and move only lag and
 the integer positions.  Refinement happens once, in to_grid, from the stored
 samples: "step" legs repeat each one (exact for indicators with grid-aligned
-breakpoints), "smooth" legs interpolate them trigonometrically in one FFT.
+breakpoints), "smooth" legs interpolate them trigonometrically in one FFT and
+keep the span above its roundoff bound.  The correlation's one convolution of
+length n > 8 pads to the 5-smooth _fast_length(n) < 1.25 n, chirp-z to next_pow2.
 """
 
 from __future__ import annotations
@@ -60,6 +62,17 @@ MAX_PLAIN_FFT = 1 << 24
 
 def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1)).bit_length()
+
+
+def _fast_length(n: int) -> int:
+    """Smallest m 2^k >= n, m in {8, 9, 10, 12, 15}: five sizes per octave, plans cached."""
+    k = max(0, (n - 1).bit_length() - 4)  # 8 2^k < n <= 16 2^k once n > 8
+    return min(m << k for m in (8, 9, 10, 12, 15, 16) if m << k >= n)
+
+
+def _roundoff(x: np.ndarray) -> float:
+    """eps log2(N) ||x||_2, the roundoff bound of an FFT at each of its N outputs x."""
+    return np.finfo(float).eps * math.log2(len(x)) * np.linalg.norm(x)
 
 
 def check_budget(points: int, what: str) -> None:
@@ -127,7 +140,8 @@ class GridFunction:
 
     def to_grid(self, spacing_exp: int) -> "GridFunction":
         """Samples at every point of 2^-spacing_exp Z, from the stored ones in one step: a
-        smooth leg pads them once and zero-fills their spectrum to 2^levels periods."""
+        smooth leg pads them once, zero-fills their spectrum to 2^levels periods and keeps
+        the span of the inverse FFT's N outputs above eps log2(N) ||out||_2, _band's rule."""
         levels = spacing_exp - self.spacing_exp + self.lag
         if spacing_exp < self.spacing_exp:
             raise ValueError("cannot coarsen a grid function")
@@ -142,13 +156,16 @@ class GridFunction:
         size, half = length >> levels, length >> (levels + 1)
         buf = np.zeros(size, dtype=complex)
         buf[_TRIG_MARGIN:_TRIG_MARGIN + len(self.samples)] = self.samples
-        spec = np.fft.fft(buf)
+        spec = np.fft.fft(buf, out=buf)
         out = np.zeros(length, dtype=complex)
         out[:half] = spec[:half]
         out[half] = out[length - half] = spec[half] / 2  # the Nyquist term, split
         out[length - half + 1:] = spec[half + 1:]
-        return GridFunction(spacing_exp, start - (_TRIG_MARGIN << levels),
-                            np.fft.ifft(out) * (1 << levels), "smooth")
+        fine = np.fft.ifft(out, out=out)
+        fine *= 1 << levels
+        keep = np.flatnonzero(np.abs(fine) > _roundoff(fine))
+        return GridFunction(spacing_exp, start - (_TRIG_MARGIN << levels) + int(keep[0]),
+                            fine[keep[0]:keep[-1] + 1], "smooth")
 
     # -- linear structure ---------------------------------------------------------
 
@@ -342,7 +359,7 @@ def fourier_inv(xi: GridFunction) -> GridFunction:
 
 def _dft(x: np.ndarray, size: int, sign: int) -> np.ndarray:
     """sum_k x_k e(sign j k / size) for j in [0, size), x zero-padded."""
-    return np.fft.ifft(x, size) * size if sign > 0 else np.fft.fft(x, size)
+    return np.fft.ifft(x, size, norm="forward") if sign > 0 else np.fft.fft(x, size)
 
 
 def _plain_dft(x: np.ndarray, size: int, sign: int) -> np.ndarray:
@@ -357,8 +374,7 @@ def _band(coarse: np.ndarray, size: int) -> tuple[int, int]:
     r * size / len(coarse)."""
     count = len(coarse)
     # ||coarse||_2 = sqrt(count) ||x||_2 by Parseval
-    floor = np.finfo(float).eps * math.log2(count) * np.linalg.norm(coarse)
-    keep = np.nonzero(np.abs(coarse) > floor)[0]
+    keep = np.flatnonzero(np.abs(coarse) > _roundoff(coarse))
     centred = (keep + count // 2) % count - count // 2
     step = size // count
     lo = max(-size // 2, (int(centred.min()) - _BAND_MARGIN) * step)
@@ -437,7 +453,7 @@ def twisted_correlation(f, d: DyadicRational | int, c: PowerOfTwo,
     m_lo, m_hi = math.ceil(slo / delta), math.floor(shi / delta)
     if m_hi < m_lo:
         return GridFunction(g, 0, [], "smooth")
-    check_budget(_next_pow2(xi._refined_length(g + max(0, -e)) + m_hi - m_lo), "the correlation")
+    check_budget(_fast_length(xi._refined_length(g + max(0, -e)) + m_hi - m_lo), "the correlation")
     lookup = xi.to_grid(g + max(0, -e))
     stride = 1 << (lookup.spacing_exp - g)
     # out[k] = sum_m weights[m] * lookup(k * stride + m): one full convolution
@@ -455,8 +471,10 @@ def twisted_correlation(f, d: DyadicRational | int, c: PowerOfTwo,
         return twisted_correlation(f, d, c, xi.to_grid(g + far))
     weights = delta * np.asarray(f.fcheck_values(s_vals), dtype=complex) \
         * np.exp(2j * np.pi * float(d) * s_vals)
-    size = _next_pow2(len(lookup) + len(weights) - 1)
-    conv = np.fft.ifft(np.fft.fft(lookup.samples, size) * np.fft.fft(weights[::-1], size))
+    size = _fast_length(len(lookup) + len(weights) - 1)
+    conv = np.fft.fft(lookup.samples, size)
+    conv *= np.fft.fft(weights[::-1], size)
+    np.fft.ifft(conv, out=conv)
     first = k_lo * stride + m_hi - src_lo
     out = conv[first:first + (k_hi - k_lo) * stride + 1:stride]
     out *= np.exp(2j * np.pi * t * float(d) * 2.0 ** (-e))
@@ -590,13 +608,15 @@ def import_csv(path, style: str = "smooth") -> GridFunction:
     xs, vals = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if [c.strip() for c in header[:3]] != ["x", "re", "im"]:
-            raise ValueError("expected header x,re,im")
+        if [c.strip() for c in next(reader, [])[:3]] != ["x", "re", "im"]:
+            raise ValueError(f"{path}, row 1: expected the header x,re,im")
         for row in reader:
             if not row:
                 continue
-            values = [float(v) for v in row[:3]]
+            try:
+                values = [float(v) for v in row[:3]]
+            except ValueError:
+                values = []
             if len(values) < 3 or not all(map(math.isfinite, values)):
                 raise ValueError(f"{path}, row {reader.line_num}: x, re and im must be"
                                  " finite numbers")

@@ -588,6 +588,13 @@ _HOSTILE = {
                 "case 0: nan.csv, row 3: x, re and im must be finite numbers"),
     "nan-tabulated": (dict(_CASE, f={"kind": "tabulated", "f_csv": "nan.csv",
                                      "fcheck_csv": "nan.csv"}), 2, "nan.csv, row 3"),
+    # an empty file and a non-numeric cell, refused by name and row
+    "empty-csv": (dict(_CASE, xi={"kind": "csv", "path": "empty.csv"}), 2,
+                  "case 0: empty.csv, row 1: expected the header x,re,im"),
+    "text-csv": (dict(_CASE, xi={"kind": "csv", "path": "text.csv"}), 2,
+                 "case 0: text.csv, row 3: x, re and im must be finite numbers"),
+    "text-tabulated": (dict(_CASE, f={"kind": "tabulated", "f_csv": "good.csv",
+                                      "fcheck_csv": "text.csv"}), 2, "text.csv, row 3"),
     # an indicator at spacing 2^-21 needs a 2^25-point transform over the whole period,
     # refused before the correlation spans fcheck's support at that spacing
     "fine-indicator": (dict(_CASE, xi={"kind": "indicator", "lo": "0", "hi": "1/2^21"}), 3,
@@ -610,6 +617,9 @@ def test_hostile_case_file_exits_fast(tmp_path, name):
     # three samples spanning 2^40 points of spacing 2^-10
     (tmp_path / "far.csv").write_text(f"x,re,im\n0,1,0\n{2.0 ** -10!r},1,0\n{2.0 ** 30!r},1,0\n")
     (tmp_path / "nan.csv").write_text("x,re,im\n0,1,0\n0.5,nan,0\n")
+    (tmp_path / "good.csv").write_text("x,re,im\n0,1,0\n0.5,1,0\n")
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "text.csv").write_text("x,re,im\n0,1,0\n0.5,one,0\n")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     with open(tmp_path / "err.txt", "w+") as err:

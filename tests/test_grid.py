@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qadic import grid
+from qadic import bimodule, grid
 from qadic.cli import RunConfig, default_cases, run_duality_cases
 from qadic.errors import MemoryBudgetExceeded
 from qadic.grid import (
@@ -248,6 +248,30 @@ def test_default_duality_transforms_are_band_limited(monkeypatch):
     assert max(periods) <= 2 ** 16
 
 
+def test_default_duality_transforms_fit_their_fast_lengths(monkeypatch):
+    # power-of-two padding took the longest transform to 2^15 points at g = 10 and 2^17
+    # at g = 12, and each correlation convolution up to twice its linear length
+    calls = _spy_fft(monkeypatch)
+    convolutions = []
+    correlation = bimodule.twisted_correlation
+
+    def spied(*args):
+        first = len(calls)
+        out = correlation(*args)
+        convolutions.append([call for call in calls[first:] if call[0] < call[1]])
+        return out
+
+    monkeypatch.setattr(bimodule, "twisted_correlation", spied)
+    for g, longest in ((10, 1 << 14), (12, 1 << 16)):
+        calls.clear()
+        convolutions.clear()
+        assert run_duality_cases(default_cases(), RunConfig(grid_exp=g))["pass"]
+        assert max(size for _, size in calls) <= longest
+        assert len(convolutions) == len(default_cases())
+        for (n, size), (m, size_m) in convolutions:  # its two zero-padded forward FFTs
+            assert size == size_m <= 1.25 * (n + m - 1)
+
+
 def test_fine_dilation_passes_once_resolved():
     # c = 2^-6 refines xi six levels; it fits the budget and passes from g = 7
     case = dict(default_cases()[2], c="1/2^6")
@@ -429,16 +453,53 @@ def _correlation_direct_sum(f, d, c, xi):
     return k_lo, np.array(out), np.sum(np.abs(weights)) * np.max(np.abs(lookup.samples))
 
 
+def _spy_fft(monkeypatch):
+    """Record (input length, transform length) of every np.fft.fft and np.fft.ifft call."""
+    calls = []
+    for name in ("fft", "ifft"):
+        def spy(a, n=None, *args, _inner=getattr(np.fft, name), **kwargs):
+            calls.append((len(a), len(a) if n is None else n))
+            return _inner(a, n, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("c", [PowerOfTwo(-1), PowerOfTwo(0), PowerOfTwo(1)])
 @pytest.mark.parametrize("d", [dyadic(0), dyadic(3, 1)])
-def test_correlation_matches_direct_sum(d, c):
+def test_correlation_matches_direct_sum(monkeypatch, d, c):
     f = BumpSymbol(0.25, 1.0)
     xi = gaussian(0.25, 0.8, g=5)
+    calls = _spy_fft(monkeypatch)
     out = twisted_correlation(f, d, c, xi)
+    # the convolution pads both factors to the fast length of its linear length,
+    # here never a power of two (the next power of two is 256 or 512 points)
+    (n, size), (m, size_m) = [call for call in calls if call[0] < call[1]]
+    assert size == size_m == grid._fast_length(n + m - 1)
+    assert size & (size - 1)
     k_lo, direct, scale = _correlation_direct_sum(f, d, c, xi)
     assert out.spacing_exp == xi.spacing_exp
     got = grid_sample(out, (k_lo + np.arange(len(direct))) * out.h)
     assert np.max(np.abs(got - direct)) <= 1e-13 * scale
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 1 << 26))
+@example(8)
+@example(9)
+@example(grid.MAX_PLAIN_FFT)
+@example(grid.MAX_PLAIN_FFT + 1)
+@example(1 << 26)
+def test_fast_length_is_the_smallest_fast_size(n):
+    fast = grid._fast_length(n)
+    shift = max(0, fast.bit_length() - 4)
+    forms = {m << k for m in (8, 9, 10, 12, 15) for k in range(shift + 2)}
+    if n <= 8:
+        assert fast == 8
+    else:
+        assert n <= fast <= grid._next_pow2(n)
+        assert fast in forms  # m 2^k with m in {8, 9, 10, 12, 15}
+    assert not any(n <= size < fast for size in forms)
+    assert (fast > grid.MAX_PLAIN_FFT) == (n > grid.MAX_PLAIN_FFT)
 
 
 INTERTWINING_CASES = [
@@ -496,15 +557,42 @@ def test_refinement_allocates_its_exact_length():
     assert len(xi) == 439
     for levels in range(1, 7):
         bound = (1 << (levels + 1)) * (len(xi) + 2 * grid._TRIG_MARGIN)
+        allocated = xi._refined_length(G + levels)
         tracemalloc.start()
         try:
             fine = xi.to_grid(G + levels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(fine) == xi._refined_length(G + levels) <= bound
-        assert peak <= 8 * 16 * len(fine)  # a few complex arrays of the output's length
-    assert len(fine) == 32768  # the level-by-level refinement held 1,048,576
+        assert len(fine) <= allocated <= bound
+        assert peak <= 8 * 16 * allocated  # a few complex arrays of the allocated length
+    assert xi._refined_length(G + 6) == 32768  # the level-by-level refinement held 1,048,576
+
+
+@pytest.mark.parametrize("center,width,modulation", [(0.0, 1.0, 0), (0.25, 0.8, 0),
+                                                     (-0.5, 0.6, 3)])
+def test_trimmed_refinement_drops_only_roundoff(monkeypatch, center, width, modulation):
+    xi = gaussian(center, width, modulation)
+    peak = np.abs(xi.samples).max()
+    for levels in range(1, 6):
+        fine = xi.to_grid(G + levels)
+        with monkeypatch.context() as patch:  # keep every sample of the inverse FFT
+            patch.setattr(grid, "_roundoff", lambda x: -1.0)
+            full = xi.to_grid(G + levels)
+        assert len(full) == xi._refined_length(G + levels)
+        assert len(fine) < 0.9 * len(full)
+        # the trimmed leg is a slice of the whole inverse FFT, cut where it meets the floor
+        lo = fine.start_index - full.start_index
+        assert np.array_equal(full.samples[lo:lo + len(fine)], fine.samples)
+        floor = np.finfo(float).eps * math.log2(len(full)) * np.linalg.norm(full.samples)
+        dropped = np.concatenate([full.samples[:lo], full.samples[lo + len(fine):]])
+        assert np.abs(dropped).max() <= floor
+        assert min(abs(fine.samples[0]), abs(fine.samples[-1])) > floor
+        # the stored samples read back at the coarse nodes
+        nodes = ((xi.start_index + np.arange(len(xi))) << levels) - fine.start_index
+        inside = (nodes >= 0) & (nodes < len(fine))
+        assert np.abs(fine.samples[nodes[inside]] - xi.samples[inside]).max() <= 1e-14 * peak
+        assert np.abs(xi.samples[~inside]).max(initial=0) <= 2 * floor
 
 
 def test_lagged_leg_refines_from_its_stored_samples():
