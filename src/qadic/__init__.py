@@ -1,5 +1,1 @@
 """Exact symbolic and numerical workbench for the dyadic shift/translation algebra."""
-
-from . import algebra, bimodule, grid, numbers, wold  # noqa: F401
-
-__all__ = ["algebra", "bimodule", "grid", "numbers", "wold"]

@@ -254,10 +254,7 @@ class Element:
         exact = all(e.exact for e in elements)
         out = {}
         for e in elements:
-            promote = e.exact and not exact
-            for m, c in e.terms.items():
-                if promote:
-                    c = complex(c)
+            for m, c in cls._promote(e.terms, exact).items():
                 out[m] = out[m] + c if m in out else c
         return cls(out, exact)
 
@@ -324,13 +321,11 @@ class Element:
 
     # -- ring structure -----------------------------------------------------
 
-    def _promote(self, other: "Element"):
-        exact = self.exact and other.exact
-        if exact:
-            return self.terms, other.terms, True
-        return ({m: complex(c) for m, c in self.terms.items()} if self.exact else self.terms,
-                {m: complex(c) for m, c in other.terms.items()} if other.exact else other.terms,
-                False)
+    @staticmethod
+    def _promote(coeffs: dict, exact: bool) -> dict:
+        """The one promotion rule: coefficients unchanged when the result is
+        exact, promoted to complex when it is numeric."""
+        return coeffs if exact else {k: complex(c) for k, c in coeffs.items()}
 
     def __add__(self, other):
         if not isinstance(other, Element):
@@ -346,7 +341,8 @@ class Element:
     def __mul__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        t1, t2, exact = self._promote(other)
+        exact = self.exact and other.exact
+        t1, t2 = self._promote(self.terms, exact), self._promote(other.terms, exact)
         if len(t1) == 1 and len(t2) == 1:
             (ma, ca), = t1.items()
             (mb, cb), = t2.items()
@@ -362,11 +358,7 @@ class Element:
         return Element(out, exact)
 
     def scale(self, c):
-        c, c_exact = _coerce(c)
-        if self.exact and c_exact:
-            return Element({m: v * c for m, v in self.terms.items()}, True)
-        cc = complex(c)
-        return Element({m: complex(v) * cc for m, v in self.terms.items()}, False)
+        return self * Element.scalar(c)
 
     def adjoint(self) -> "Element":
         # adjoint maps every germ's trie isomorphically: sorted, it stays normal
@@ -418,15 +410,14 @@ class Element:
         """
         exact = self.exact and all(
             isinstance(v, (int, Fraction, RationalComplex)) for v in vec.values())
+        vec = {n: _exact_coeff(v) for n, v in vec.items()} if exact else self._promote(vec, exact)
         out = {}
-        for m, c in self.terms.items():
-            cc = c if exact else complex(c)
+        for m, c in self._promote(self.terms, exact).items():
             for n, vn in vec.items():
                 image = m.apply_index(n)
                 if image is None:
                     continue
-                vv = _coerce(vn)[0] if exact else complex(vn)
-                contrib = cc * vv
+                contrib = c * vn
                 out[image] = out[image] + contrib if image in out else contrib
         return {n: v for n, v in out.items() if v}
 

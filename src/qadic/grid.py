@@ -624,15 +624,12 @@ def import_csv(path, style: str = "smooth") -> GridFunction:
             vals.append(complex(values[1], values[2]))
     if not xs:
         return GridFunction(0, 0, [], style)
-    diffs = sorted({round(b - a, 15) for a, b in zip(xs, xs[1:])})
-    if not diffs:
-        h = 1.0
-    else:
-        h = diffs[0]
-    mantissa, exp = math.frexp(h)
-    if mantissa != 0.5:
-        raise ValueError(f"spacing {h} is not a power of two")
-    spacing_exp = 1 - exp
+    step = min((b - a for a, b in zip(xs, xs[1:])), default=1.0)
+    mantissa, exp = math.frexp(step)  # h: the power of two nearest step, below 2^1024
+    spacing_exp = 1 - exp if mantissa < 0.75 or exp > 1023 else -exp
+    h = 2.0 ** -spacing_exp
+    if abs(step - h) > 1e-9 * h:
+        raise ValueError(f"spacing {step} is not a power of two")
     start = round(xs[0] / h)
     length = round(xs[-1] / h) - start + 1
     check_budget(length, f"a CSV grid function at spacing 2^-{spacing_exp}")

@@ -99,11 +99,12 @@ def unitary_part(S: MonomialIsometry) -> WoldData:
     return WoldData(S, "empty")
 
 
-def _check_cuntz(S0: MonomialIsometry, S1: MonomialIsometry) -> None:
-    e0, e1 = S0.element(), S1.element()
-    total = e0 * e0.adjoint() + e1 * e1.adjoint()
-    if not total.equals(one()):
+def _check_cuntz(S0: MonomialIsometry, S1: MonomialIsometry) -> tuple[int, int]:
+    """Decide S0 S0* + S1 S1* = 1 in closed form; return V's shift c1 - c0
+    and the S1 fixed point -c1 (both derived in the module notes)."""
+    if not (S0.slope_exp == S1.slope_exp == 1 and (S0.offset + S1.offset) % 2):
         raise CuntzRelationViolation("S0 S0* + S1 S1* != 1")
+    return S1.offset - S0.offset, -S1.offset
 
 
 def build_vn(S0: MonomialIsometry, S1: MonomialIsometry, n: int) -> Element:
@@ -126,8 +127,7 @@ def apply_v_limit(S0: MonomialIsometry, S1: MonomialIsometry, vec: dict) -> dict
     vec are only moved.  They come back as ``Element.apply`` returns them:
     exact when every value is exact, complex otherwise, zeros dropped.
     """
-    _check_cuntz(S0, S1)
-    shift, fixed_point = S1.offset - S0.offset, -S1.offset
+    shift, fixed_point = _check_cuntz(S0, S1)
     return {n + shift: c for n, c in Element.one().apply(vec).items() if n != fixed_point}
 
 
@@ -142,8 +142,7 @@ def build_extension_unitary(S0: MonomialIsometry, S1: MonomialIsometry,
     if window > MAX_WINDOW:
         raise MemoryBudgetExceeded(
             f"window half-width {window} exceeds the budget of {MAX_WINDOW}")
-    _check_cuntz(S0, S1)
-    shift, fixed_point = S1.offset - S0.offset, -S1.offset
+    shift, fixed_point = _check_cuntz(S0, S1)
     table = {n: (n + shift, 1 + 0j) for n in range(-window, window + 1)}
     if fixed_point in table:
         table[fixed_point] = (fixed_point + shift, complex(w_phase))

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -444,6 +445,54 @@ def test_numeric_promotion_and_exact_cancellation():
     # no absolute cutoff: a difference of one ulp is a term
     ulp = u().scale(1.0 + 2.0 ** -52) - u()
     assert list(ulp.terms.items()) == [(Monomial(0, 0, 0, 1), 2.0 ** -52 + 0j)]
+
+
+def _promoted(e):
+    """The exact element e with each coefficient promoted by complex()."""
+    return Element({m: complex(c) for m, c in e.terms.items()}, exact=False)
+
+
+def _bits(items):
+    """(key, real bits, imaginary bits) of each numeric coefficient, in order."""
+    return [(k, complex(c).real.hex(), complex(c).imag.hex()) for k, c in items]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_mixed_operations_promote_the_exact_operand(rand):
+    # one promotion rule: a mixed sum, product, scale or apply equals, bit
+    # for bit, the same operation with the exact operand promoted by complex()
+    exact = random_overlapping_element(rand)
+    numeric = Element({m: complex(rand.uniform(-2, 2), rand.uniform(-2, 2))
+                       for m in random_element(rng=rand).terms}, exact=False)
+    q = RationalComplex(Fraction(rand.randint(-5, 5), rand.randint(1, 7)),
+                        Fraction(rand.randint(-5, 5), rand.randint(1, 7)))
+    z = complex(rand.uniform(-2, 2), rand.uniform(-2, 2))
+    pairs = [
+        (Element.sum([exact, numeric]), Element.sum([_promoted(exact), numeric])),
+        (Element.sum([numeric, exact]), Element.sum([numeric, _promoted(exact)])),
+        (exact * numeric, _promoted(exact) * numeric),
+        (numeric * exact, numeric * _promoted(exact)),
+        (exact.scale(z), _promoted(exact).scale(z)),
+        (numeric.scale(q), numeric.scale(complex(q))),
+    ]
+    for got, want in pairs:
+        assert not got.exact and not want.exact
+        assert _bits(got.terms.items()) == _bits(want.terms.items())
+    exact_vec = {n: rand.choice([rand.randint(-3, 3), Fraction(rand.randint(-3, 3), 3), q])
+                 for n in range(-8, 9)}
+    numeric_vec = {n: rand.choice([complex(v), 0.5 * n, np.int64(n), np.float64(n / 3)])
+                   for n, v in exact_vec.items()}
+    promoted_vec = {n: complex(v) for n, v in numeric_vec.items()}
+    applied = [
+        (exact.apply(numeric_vec), _promoted(exact).apply(promoted_vec)),
+        (numeric.apply(exact_vec), numeric.apply({n: complex(v) for n, v in exact_vec.items()})),
+        (exact.apply({n: np.int64(n) for n in range(-8, 9)}),
+         _promoted(exact).apply({n: complex(n) for n in range(-8, 9)})),
+    ]
+    for got, want in applied:
+        assert all(type(v) is complex for v in got.values())
+        assert _bits(got.items()) == _bits(want.items())
 
 
 def test_numeric_product_keeps_small_coefficients():

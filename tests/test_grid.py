@@ -703,6 +703,17 @@ def test_csv_round_trip(tmp_path):
     assert np.allclose(back.samples, xi.samples)
 
 
+@pytest.mark.parametrize("spacing_exp", [16, 20, 30, 40])
+def test_csv_round_trip_on_fine_grids(tmp_path, spacing_exp):
+    # a spacing of 2^-k has k decimals, so no fixed rounding can infer it
+    xi = GridFunction(spacing_exp, -3, np.array([1, 2j, 0.5, -1 - 1j]), "smooth")
+    path = tmp_path / "fine.csv"
+    export_csv(xi, path)
+    back = import_csv(path)
+    assert (back.spacing_exp, back.start_index) == (spacing_exp, -3)
+    assert np.array_equal(back.samples, xi.samples)
+
+
 def test_csv_beyond_budget_raises_before_allocating(tmp_path):
     path = tmp_path / "far.csv"  # three samples spanning 2^40 points
     path.write_text(f"x,re,im\n0,1,0\n{2.0 ** -10!r},1,0\n{2.0 ** 30!r},1,0\n")

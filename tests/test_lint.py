@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -102,3 +105,35 @@ def test_no_unused_import():
         found += [f"{path.name}:{line}:{name}" for name, line in imported.items()
                   if name not in used]
     assert found == []
+
+
+EXACT_LAYER = ("numbers.py", "algebra.py", "wold.py")
+
+
+def _imported_names(path):
+    """Every dotted part of every module or name an import statement names."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            parts = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+            names.update(part for dotted in parts for part in dotted.split(".") if part)
+    return names
+
+
+def test_package_init_and_exact_layer_import_no_numeric_code():
+    # `import qadic` loads no submodule, and the pure-Python exact layer
+    # reaches neither numpy nor the numeric modules
+    init = ast.parse((LIBRARY / "__init__.py").read_text())
+    assert [node.lineno for node in ast.walk(init)
+            if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+    found = {name: sorted(_imported_names(LIBRARY / name) & {"numpy", "grid", "bimodule", "cli"})
+             for name in EXACT_LAYER}
+    assert found == dict.fromkeys(EXACT_LAYER, [])
+
+
+def test_exact_layer_loads_without_numpy():
+    code = "import sys, qadic.numbers, qadic.algebra, qadic.wold; print('numpy' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(LIBRARY.parent), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qadic import wold
-from qadic.algebra import Monomial, RationalComplex, one, s, u
+from qadic.algebra import MAX_LEVEL, Element, Monomial, RationalComplex, one, s, u
 from qadic.errors import CuntzRelationViolation, UnsupportedIsometry
 from qadic.wold import (
     MonomialIsometry,
@@ -191,19 +191,24 @@ def test_closed_form_unitary_matches_orbit_walk(pair, w_phase, window):
 
 
 def test_cuntz_pairs_are_exactly_slope_one_opposite_parity():
-    # the closed form rests on this: no other monomial pair passes the check
+    # the closed form rests on this: its oracle is the symbolic relation
+    # e0 e0* + e1 e1* = 1, and no other monomial pair satisfies it
     draw = random.Random(9)
+    pairs = [((draw.randint(1, 3), draw.randint(-8, 8)), (draw.randint(1, 3), draw.randint(-8, 8)))
+             for _ in range(400)]
+    pairs += [((0, c0), (i1, c1)) for c0 in (-3, 0, 2) for i1 in (0, 1) for c1 in (-1, 0, 5)]  # u^k
+    pairs += [((1, 0), (MAX_LEVEL - 1, 1)), ((MAX_LEVEL - 1, 0), (MAX_LEVEL - 1, 1))]
     accepted = rejected = 0
-    for _ in range(400):
-        i0, i1 = draw.randint(1, 3), draw.randint(1, 3)
-        c0, c1 = draw.randint(-8, 8), draw.randint(-8, 8)
+    for (i0, c0), (i1, c1) in pairs:
         A = MonomialIsometry(Monomial(0, 0, i0, c0))
         B = MonomialIsometry(Monomial(0, 0, i1, c1))
-        if i0 == i1 == 1 and (c0 + c1) % 2:
-            wold._check_cuntz(A, B)
+        e0, e1 = A.element(), B.element()
+        if (e0 * e0.adjoint() + e1 * e1.adjoint()).equals(one()):
+            assert i0 == i1 == 1 and (c0 + c1) % 2
+            assert wold._check_cuntz(A, B) == (c1 - c0, -c1)
             accepted += 1
         else:
-            with pytest.raises(CuntzRelationViolation):
+            with pytest.raises(CuntzRelationViolation, match=r"^S0 S0\* \+ S1 S1\* != 1$"):
                 wold._check_cuntz(A, B)
             rejected += 1
     assert accepted > 10 and rejected > 10
@@ -222,17 +227,21 @@ def test_v_limit_matches_partial_sums_where_they_stabilize(pair, vec):
 
 
 def test_wold_runs_no_symbolic_partial_sums(monkeypatch):
-    calls = dict.fromkeys(("build_vn", "_check_cuntz"), 0)
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(wold, name)):
+    # the run-time path forms no Element product and no normal form
+    spied = ((wold, "build_vn"), (wold, "_check_cuntz"),
+             (Element, "__mul__"), (Element, "_normalize"))
+    calls = dict.fromkeys((name for _, name in spied), 0)
+    for owner, name in spied:
+        def counted(*args, _name=name, _fn=getattr(owner, name)):
             calls[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(wold, name, counted)
+        monkeypatch.setattr(owner, name, counted)
+    expected = {"build_vn": 0, "_check_cuntz": 1, "__mul__": 0, "_normalize": 0}
     build_extension_unitary(S0, S1, 64)
-    assert calls == {"build_vn": 0, "_check_cuntz": 1}
-    calls.update(build_vn=0, _check_cuntz=0)
+    assert calls == expected
+    calls.update(dict.fromkeys(calls, 0))
     apply_v_limit(S0, S1, {n: 1 for n in range(-64, 65)})
-    assert calls == {"build_vn": 0, "_check_cuntz": 1}
+    assert calls == expected
 
 
 def test_norm_telescoping_exact():
