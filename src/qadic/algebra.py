@@ -422,27 +422,22 @@ class Element:
         return {n: v for n, v in out.items() if v}
 
     def matrix_window(self, half_width: int):
-        """Sparse matrix of the element on basis indices [-N, N].
+        """Sparse matrix (entries, boundary_loss) of the element on basis indices [-N, N].
 
-        Returns (entries, boundary_loss) where entries maps (row, col) to a
-        complex amplitude and boundary_loss flags any image that fell
-        outside the window.  Half-widths beyond MAX_WINDOW raise
-        MemoryBudgetExceeded before anything is built.
+        Column col is apply({col: 1}): entries maps (row, col) to a complex amplitude,
+        and boundary_loss flags a nonzero image outside the window.  Half-widths
+        beyond MAX_WINDOW raise MemoryBudgetExceeded before anything is built.
         """
         if half_width > MAX_WINDOW:
             raise MemoryBudgetExceeded(
                 f"window half-width {half_width} exceeds the budget of {MAX_WINDOW}")
-        entries = {}
-        boundary_loss = False
+        entries, boundary_loss = {}, False
         for col in range(-half_width, half_width + 1):
-            for m, c in self.terms.items():
-                row = m.apply_index(col)
-                if row is None:
-                    continue
+            for row, v in self.apply({col: 1}).items():
                 if abs(row) > half_width:
                     boundary_loss = True
-                    continue
-                entries[(row, col)] = entries.get((row, col), 0j) + complex(c)
+                else:
+                    entries[row, col] = complex(v)
         return entries, boundary_loss
 
     # -- serialization ---------------------------------------------------------

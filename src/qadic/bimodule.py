@@ -13,10 +13,11 @@ product lands in the numeric mode of the symbolic algebra.  The induced
 space X (x)_A l^2(Z) needs no container of its own: phi (x) e_n =
 phi . u^n (x) e_0, so its vectors are module elements paired at e_0.
 
-The inner product of a tensor pair is one kernel.  With e = m1e - m2e,
-up = max(e, 0) and down = max(-e, 0), the term at shift b is
+The inner product of tensors keyed (l1, k1, m1e) and (l2, k2, m2e) is one
+kernel.  With e = m1e - m2e, up = max(e, 0) and down = max(-e, 0), the term
+at shift b is P1 s*^up u^-b s^down P2 (Pn the class projections), nonzero iff
 
-    P1 s*^up u^-b s^down P2,
+    b = 2^down l2 - 2^up l1  (mod 2^min(k1 + up, k2 + down)),
 
 valued at the pairing of xi1 with t -> xi2(2^e t + 2^-down b).  Both legs
 are refined once to a common grid, on which that leg is the refined second
@@ -153,8 +154,8 @@ def _pair_terms(key1, xi1, key2, xi2):
     On the common grid 2^-g that leg is the refined second leg moved by b
     strides of 2^(g - up) samples, so each value is one overlap_vdot and
     each monomial one compose against the b-free factor P1 s*^up.  The
-    shifts run over exactly those b whose refined sample runs overlap, and
-    terms are kept above the floor of _common_legs.
+    shifts run over the b that pair (module notes) whose refined sample
+    runs overlap; terms are kept above the floor of _common_legs.
     """
     (l1, k1e, m1e), (l2, k2e, m2e) = key1, key2
     up, down = max(m1e - m2e, 0), max(m2e - m1e, 0)
@@ -166,14 +167,13 @@ def _pair_terms(key1, xi1, key2, xi2):
     left = compose(Monomial.from_word(l1, k1e, k1e, -l1), Monomial.from_word(0, 0, up, 0))
     a, i, j, c = compose(Monomial.from_word(0, down, 0, 0),
                          Monomial.from_word(l2, k2e, k2e, -l2)).word()
+    step = 1 << min(k1e + up, k2e + down)
     out = []
-    for b in range(lo, hi + 1):
+    for b in range(lo + ((l2 << down) - (l1 << up) - lo) % step, hi + 1, step):
         val = weight * complex(gridmod.overlap_vdot(
             x1, fine1.start_index, x2, base2.start_index - b * stride) * h)
         if abs(val) > floor:
-            mono = compose(left, Monomial.from_word(a - b, i, j, c))
-            if mono is not None:
-                out.append((mono, val))
+            out.append((compose(left, Monomial.from_word(a - b, i, j, c)), val))
     return out
 
 

@@ -211,8 +211,8 @@ class RunConfig:
             raise ValueError("grid exponent must lie in [3, 12]")
         if self.window <= 0 or self.window & (self.window - 1):
             raise ValueError("window must be a positive power of two")
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if self.tol is not None:
+            _tolerance(self.tol)
 
 
 # -- case files --------------------------------------------------------------------
@@ -275,6 +275,13 @@ def _real(value) -> float:
     return float(value)
 
 
+def _tolerance(value) -> float:
+    """The one reader of `--tol` and a case's "tol": a finite number (see _real) > 0."""
+    if (tol := _real(value)) > 0:
+        return tol
+    raise ValueError("tolerance must be positive")
+
+
 def _value(spec, key: str, read, default=None):
     """read(spec[key]) (or read(default) for an absent key); errors name the key."""
     value = _field(spec, key) if default is None or key in spec else default
@@ -334,7 +341,7 @@ def _run_case(case: dict, config: RunConfig) -> dict:
     for key, xi in (("xi", xi2), ("xi1", xi1)):
         if xi.is_zero():  # its normalized matrix coefficient would be 0/0
             raise ValueError(f"key {key!r}: the vector is zero on the grid")
-    tol = config.tol if config.tol is not None else _value(case, "tol", _real, 1e-3)
+    tol = config.tol if config.tol is not None else _value(case, "tol", _tolerance, 1e-3)
     residual = equivalence_residual(f, d, c, xi1, xi2)
     return {
         "case": {"f": dict(case["f"]), "d": str(d), "c": str(c)},
@@ -502,8 +509,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     command("apply", cmd_apply, "apply an expression to a basis vector", "expr",
             formats=("text", "json", "csv")).add_argument("--basis", type=int, default=0)
     command("expect", cmd_expect, "project onto the diagonal subalgebra", "expr")
-    matrix = command("matrix", cmd_matrix, "export the windowed matrix of an expression", "expr",
-                     formats=("text", "json", "csv"))
+    matrix = command("matrix", cmd_matrix, "export the windowed matrix of an expression", "expr")
     wold = command("wold", cmd_wold, "build and check the extension unitary")
     wold.add_argument("--s0", required=True)
     wold.add_argument("--s1", required=True)

@@ -156,16 +156,14 @@ def check_intertwining(table: dict, S0: MonomialIsometry, S1: MonomialIsometry) 
     """
     ok1 = ok2 = True
     checked = 0
-    for n in table:
+    for n, (un, ua) in table.items():
         m = S0.apply_index(n)
         if m in table:
             # U S0 eps_n against S1 eps_n
             checked += 1
-            img, amp = table[m]
-            ok1 &= img == S1.apply_index(n) and abs(amp - 1) < 1e-12
-            # S0 U eps_n against U U S0 eps_n
-            un, ua = table[n]
             first, a1 = table[m]
+            ok1 &= first == S1.apply_index(n) and abs(a1 - 1) < 1e-12
+            # S0 U eps_n against U U S0 eps_n
             if first in table:
                 second, a2 = table[first]
                 checked += 1

@@ -435,6 +435,50 @@ def test_matrix_window_parity_diagonal():
     assert entries == {(n, n): 1 + 0j for n in (-2, 0, 2)}
 
 
+def test_matrix_window_drops_cancelled_images():
+    # u and s both send e_1 to e_2, so u - s has no (2, 1) entry
+    e = u() - s()
+    assert e.apply({1: 1}) == {}
+    entries, loss = e.matrix_window(2)
+    assert loss  # u e_2 = e_3 and s e_2 = e_4 are nonzero and outside
+    assert entries == {(-1, -2): 1, (0, -1): 1, (-2, -1): -1, (1, 0): 1, (0, 0): -1}
+
+
+def test_matrix_window_loss_is_a_nonzero_image_outside():
+    # the two images of e_1 both land on e_4 and cancel; every other column is 0
+    e = (u(3) - s() * u()) * u() * s().power(3) * s_adj().power(3) * u(-1)
+    assert all(not e.apply({n: 1}) for n in range(-2, 3))
+    assert e.matrix_window(2) == ({}, False)
+
+
+window_terms = st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 2), st.integers(0, 2),
+                                  st.integers(-3, 3), st.sampled_from([1, -1, Fraction(1, 2)])),
+                        min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(window_terms, st.integers(0, 4))
+def test_matrix_window_is_the_window_of_apply(terms, half_width):
+    # few short words with coefficients +-1: images often coincide and cancel;
+    # the oracle sums the images of the words as drawn, before normalization
+    e = Element.sum(Element.from_word(*term) for term in terms)
+    cols = range(-half_width, half_width + 1)
+    images = {}
+    for a, i, j, b, c in terms:
+        for col in cols:
+            row = Monomial.from_word(a, i, j, b).apply_index(col)
+            if row is not None:
+                images[row, col] = images.get((row, col), 0) + c
+    images = {key: c for key, c in images.items() if c}
+    entries, loss = e.matrix_window(half_width)
+    assert entries == {(row, col): complex(c) for (row, col), c in images.items()
+                       if abs(row) <= half_width}
+    assert loss == any(abs(row) > half_width for row, _ in images)
+    for col in cols:
+        assert {row: v for (row, c), v in entries.items() if c == col} == \
+            {row: complex(v) for row, v in e.apply({col: 1}).items() if abs(row) <= half_width}
+
+
 # -- numeric mode ---------------------------------------------------------------------
 
 

@@ -323,6 +323,33 @@ def test_inner_kernel_matches_chain_on_class_keys():
     assert winners == {0, 1, 2, 3}  # every argument of the common grid's max wins once
 
 
+def test_inner_kernel_reads_only_the_shifts_that_pair(monkeypatch):
+    # one overlap_vdot per member of the pairing class in [lo, hi], not one per
+    # shift: the run at trivial classes (where every shift pairs) lists [lo, hi]
+    starts = []
+    real_vdot = grid.overlap_vdot
+    monkeypatch.setattr(grid, "overlap_vdot",
+                        lambda x1, s1, x2, s2: starts.append(s2) or real_vdot(x1, s1, x2, s2))
+    xi1, xi2 = unit_bump(1, 5), sample_symbol(GaussianSymbol(-0.1, 0.4), G + 1, -2.0, 3.0)
+    for m1e, m2e in [(0, 0), (2, 0), (0, 2), (-1, 1)]:
+        e = m1e - m2e
+        up, down = max(e, 0), max(-e, 0)
+        fine1, base2, *_ = bimodule._common_legs(m1e, xi1, m2e, xi2)
+        stride = 1 << (fine1.spacing_exp - up)
+        starts.clear()
+        _pair_terms((0, 0, m1e), xi1, (0, 0, m2e), xi2)
+        shifts = [(base2.start_index - start) // stride for start in starts]
+        assert shifts == list(range(shifts[0], shifts[-1] + 1))
+        for (l1, k1e), (l2, k2e) in [((1, 2), (3, 2)), ((0, 1), (5, 3)), ((3, 3), (1, 1))]:
+            p1, p2 = (l1, k1e, k1e, -l1), (l2, k2e, k2e, -l2)
+            pairing = [b for b in shifts if compose_chain(
+                p1, (0, 0, up, 0), (-b, down, 0, 0), p2) is not None]
+            starts.clear()
+            _pair_terms((l1, k1e, m1e), xi1, (l2, k2e, m2e), xi2)
+            assert starts == [base2.start_index - b * stride for b in pairing]
+            assert len(starts) < len(shifts)
+
+
 def test_inner_reads_shifts_without_grid_calls(monkeypatch):
     # every shift is a slice of the once-refined legs: no translate, no inner
     config = RunConfig(grid_exp=6)

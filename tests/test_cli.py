@@ -226,8 +226,9 @@ def test_run_config_validation():
         RunConfig(grid_exp=2)
     with pytest.raises(ValueError):
         RunConfig(window=12)
-    with pytest.raises(ValueError):
-        RunConfig(tol=-1.0)
+    for tol in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            RunConfig(tol=tol)
 
 
 def test_case_value_parsers():
@@ -322,6 +323,14 @@ def test_cmd_matrix_boundary_note(capsys):
     assert "outside the window" in err
 
 
+def test_cmd_matrix_cancelled_images_are_not_dropped(capsys):
+    # the two images of e_1 both land on e_4 and cancel: nothing nonzero leaves
+    assert main(["matrix", "(u^3 - s u) u s^3 s*^3 u^-1", "-N", "2", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"window": 2, "boundary_loss": False, "entries": []}
+    assert captured.err == ""
+
+
 def test_cmd_wold(capsys):
     assert main(["wold", "--s0", "s", "--s1", "u s", "-N", "16"]) == 0
     out = capsys.readouterr().out
@@ -382,6 +391,8 @@ def test_unread_flag_exits_2(tmp_path, capsys, argv):
     (["duality", "--cases", "missing.json", "-g", "2"], "grid exponent must lie in [3, 12]"),
     (["duality", "--cases", "missing.json", "-g", "13"], "grid exponent must lie in [3, 12]"),
     (["duality", "--cases", "missing.json", "--tol", "-1"], "tolerance must be positive"),
+    (["duality", "--cases", "missing.json", "--tol", "nan"], "expected a finite number, got nan"),
+    (["duality", "--cases", "missing.json", "--tol", "inf"], "expected a finite number, got inf"),
 ])
 def test_setting_out_of_range_exits_2(tmp_path, capsys, argv, message):
     # refused before the expression is parsed, the case file read or --out opened
@@ -399,6 +410,7 @@ def test_setting_out_of_range_exits_2(tmp_path, capsys, argv, message):
     (["duality", "--cases", "missing.json"], "csv"),
     (["eq", "(", "u"], "json"),
     (["eq", "(", "u"], "csv"),
+    (["matrix", "("], "csv"),
 ])
 def test_unwritten_format_exits_2(tmp_path, capsys, argv, fmt):
     # refused before the expression is parsed, the case file read or --out opened
@@ -533,6 +545,9 @@ _HOSTILE = {
     "radius-string": (dict(_CASE, f={"kind": "bump", "radius": "wide"}), 2,
                       "case 0: key 'radius'"),
     "width-bool": (dict(_CASE, xi={"kind": "gaussian", "width": True}), 2, "case 0: key 'width'"),
+    # a tolerance not above 0 is an input error, as it is on --tol
+    "tol-zero": (dict(_CASE, tol=0), 2, "case 0: key 'tol': tolerance must be positive"),
+    "tol-negative": (dict(_CASE, tol=-1), 2, "case 0: key 'tol': tolerance must be positive"),
     "empty-indicator": (dict(_CASE, xi={"kind": "indicator", "lo": "1", "hi": "1/2"}), 2,
                         "case 0: key 'xi': the vector is zero"),
     "far-gaussian": (dict(_CASE, xi1={"kind": "gaussian", "center": 1e9}), 2,
