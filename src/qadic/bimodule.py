@@ -94,7 +94,7 @@ class BimoduleElement:
         for (l, k_exp, m_exp), xi in self.tensors.items():
             if m_exp != a_exp:
                 continue
-            if z.residue % (1 << k_exp) != l:
+            if z.reduce(k_exp).residue != l:
                 continue
             total += gridmod.grid_sample(xi, t)[0]
         return total

@@ -36,8 +36,10 @@ Translations and dilations keep the stored samples and move only lag and
 the integer positions.  Refinement happens once, in to_grid, from the stored
 samples: "step" legs repeat each one (exact for indicators with grid-aligned
 breakpoints), "smooth" legs interpolate them trigonometrically in one FFT and
-keep the span above its roundoff bound.  The correlation's one convolution of
-length n > 8 pads to the 5-smooth _fast_length(n) < 1.25 n, chirp-z to next_pow2.
+keep the span above its roundoff bound.  grid_sample reads each point x alone,
+in to_grid at a step leg's spacing, or at x's own level on a smooth leg.  The
+correlation's one convolution of length n > 8 pads to the 5-smooth
+_fast_length(n) < 1.25 n, chirp-z to next_pow2.
 """
 
 from __future__ import annotations
@@ -198,40 +200,30 @@ class GridFunction:
 
 
 def grid_sample(src: GridFunction, x) -> np.ndarray:
-    """Evaluate a grid function at query points, exactly when possible.
+    """The value at each point x, read alone: at index floor(x 2^L) of to_grid(L).
 
-    Queries that form a uniform dyadic grid aligned with a refinement of
-    the source are answered by exact sample lookup (after trigonometric or
-    duplication refinement); anything else falls back to linear
-    interpolation between samples, with one zero sample beyond each end of
-    the support.
+    A step leg reads at L = spacing_exp, the cell holding x, left-closed.  A smooth
+    leg reads its trigonometric interpolant at x's own level: L is the least level
+    with x 2^L an integer, or spacing_exp if that is finer.  Points off the samples
+    of to_grid(L), NaN and +-inf read 0; a level over the budget raises in to_grid.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if src.is_zero() or len(x) == 0:
-        return np.zeros(len(x), dtype=complex)
-    exp = src.spacing_exp
-    if len(x) > 1:
-        diffs = np.diff(x)
-        step = diffs[0]
-        if step > 0 and np.allclose(diffs, step, rtol=0, atol=1e-12):
-            mantissa, e2 = math.frexp(step)
-            if mantissa == 0.5:
-                exp = max(exp, 1 - e2)
-    scaled = x * 2.0 ** exp
-    idx = np.round(scaled)
-    if np.max(np.abs(scaled - idx)) < 1e-9:
-        fine = src.to_grid(exp)
-        pos = idx.astype(int) - fine.start_index
-        valid = (pos >= 0) & (pos < len(fine.samples))
-        out = np.zeros(len(x), dtype=complex)
-        out[valid] = fine.samples[pos[valid]]
-        return out
-    src = src.to_grid(src.spacing_exp)
-    pts = (src.start_index - 1 + np.arange(len(src) + 2)) * src.h
-    vals = np.pad(src.samples, 1)
-    re = np.interp(x, pts, vals.real, left=0.0, right=0.0)
-    im = np.interp(x, pts, vals.imag, left=0.0, right=0.0)
-    return re + 1j * im
+    out = np.zeros(len(x), dtype=complex)
+    finite = np.isfinite(x)
+    levels = np.full(len(x), src.spacing_exp)
+    if src.style == "smooth":
+        nonzero = np.flatnonzero(finite & (x != 0))
+        mantissa, exp = np.frexp(x[nonzero])
+        bits = (mantissa * 2.0 ** 53).astype(np.int64)  # x = bits 2^(exp - 53)
+        lowest = np.frexp(bits & -bits)[1] - 1  # x 2^(53 - exp - lowest) is odd
+        levels[nonzero] = np.maximum(src.spacing_exp, 53 - exp - lowest)
+    for level in np.unique(levels[finite]):
+        fine = src.to_grid(int(level))
+        at = np.flatnonzero(finite & (levels == level))
+        pos = np.floor(np.ldexp(x[at], level)) - fine.start_index
+        inside = (pos >= 0) & (pos < len(fine))
+        out[at[inside]] = fine.samples[pos[inside].astype(np.int64)]
+    return out
 
 
 def indicator(spacing_exp: int, lo: DyadicRational | int, hi: DyadicRational | int) -> GridFunction:

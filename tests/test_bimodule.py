@@ -22,6 +22,7 @@ from qadic.bimodule import (
     left_action,
     transform_eval,
 )
+from qadic.errors import InsufficientPrecision
 from qadic.grid import (
     BumpSymbol,
     GaussianSymbol,
@@ -97,6 +98,14 @@ def test_act_u_pointwise():
         z = PadicInt(res, 8)
         for t in (0.125, 0.25, -0.75):
             assert out.eval(z, t, 0) == pytest.approx(phi.eval(z + 1, t + 1, 0))
+
+
+def test_eval_reads_only_the_known_bits_of_z():
+    phi = BimoduleElement.simple(5, 3, unit_bump(0, 8))
+    assert phi.eval(PadicInt(13, 4), 0.5, 0) == 1
+    assert phi.eval(PadicInt(1, 3), 0.5, 0) == 0
+    with pytest.raises(InsufficientPrecision):  # z = 1 mod 4 may be 5 mod 8
+        phi.eval(PadicInt(5, 2), 0.5, 0)
 
 
 def test_act_s_examples():

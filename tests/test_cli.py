@@ -573,6 +573,11 @@ _HOSTILE = {
     "huge-d-power": (dict(_CASE, d="1/2^-1000000000"), 2, "key 'd': too large for a float"),
     "tiny-d": (dict(_CASE, d="1/2^1000000000"), 3, "2^1000000000 is over the budget of 2^8192"),
     "fine-d-2000": (dict(_CASE, d="1/2^2000"), 3, "2^2000 subclasses, over the budget"),
+    # the probe of f near d reads a tabulated f without refining it to d's level
+    # (2^24 points here), so the subclass budget refuses the case first
+    "fine-d-tabulated": (dict(_CASE, d="1/2^20", f={"kind": "tabulated", "f_csv": "gauss.csv",
+                                                    "fcheck_csv": "gauss_check.csv"}),
+                         3, "2^20 subclasses, over the budget"),
     # a translated leg beyond int64, whose transform band is over the budget
     **{f"far-d-{k}": (dict(_CASE, f={"kind": "bump", "radius": 1}, d=f"1/2^-{k}",
                            xi={"kind": "gaussian", "center": 0.25, "width": 0.5}),
@@ -635,6 +640,9 @@ def test_hostile_case_file_exits_fast(tmp_path, name):
     (tmp_path / "good.csv").write_text("x,re,im\n0,1,0\n0.5,1,0\n")
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "text.csv").write_text("x,re,im\n0,1,0\n0.5,one,0\n")
+    fcheck = grid.sample_symbol(grid.GaussianSymbol(), 6, -4.0, 4.0)
+    grid.export_csv(grid.fourier(fcheck), tmp_path / "gauss.csv")
+    grid.export_csv(fcheck, tmp_path / "gauss_check.csv")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     with open(tmp_path / "err.txt", "w+") as err:

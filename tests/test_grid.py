@@ -393,11 +393,53 @@ def test_affine_reindex_matches_pointwise():
     assert grid_sample(out, t).real == pytest.approx(expected, abs=1e-12)
 
 
-def test_grid_sample_off_grid_ramps_to_zero_outside_support():
-    # samples 2, 4 at x = 0, 1: linear inside, one-cell ramps to 0 outside
+@st.composite
+def legs_and_points(draw):
+    """A step or smooth leg with lag and points on it, off it and non-finite; a
+    smooth leg gets only points of level <= 8, which refine within the budget."""
+    style = draw(st.sampled_from(["step", "smooth"]))
+    samples = draw(st.lists(st.complex_numbers(min_magnitude=0.5, max_magnitude=4), min_size=1,
+                            max_size=6))
+    leg = GridFunction(draw(st.integers(-2, 3)), draw(st.integers(-8, 8)), samples, style,
+                       draw(st.integers(0, 2)))
+    dyadic_points = st.builds(math.ldexp, st.integers(-600, 600), st.integers(-8, 2))
+    special = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+    anywhere = st.floats(-40, 40) if style == "step" else st.nothing()
+    return leg, draw(st.lists(dyadic_points | special | anywhere, min_size=1, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(legs_and_points())
+def test_grid_sample_reads_each_point_alone(leg_points):
+    leg, xs = leg_points
+    alone = np.concatenate([grid_sample(leg, [x]) for x in xs])
+    assert grid_sample(leg, xs).tobytes() == alone.tobytes()
+    assert not alone[~np.isfinite(xs)].any()
+
+
+def test_grid_sample_smooth_leg_reads_its_interpolant_at_the_point_level():
+    f = GaussianSymbol(0.1, 0.5)
+    g = sample_symbol(f, 3, -4, 4)
+    alone = grid_sample(g, [2 ** -4])[0]
+    assert alone == grid_sample(g, [2 ** -4, 2 ** -3])[0]
+    assert alone == pytest.approx(0.98248, abs=1e-5)
+    assert abs(alone - f.f_values(2 ** -4)) <= 1e-6
+
+
+@pytest.mark.parametrize("lag", [0, 1])
+def test_grid_sample_step_leg_reads_its_cell_left_closed(lag):
+    # samples 2, 4 on the cells [0, 1) and [1, 2), stored at spacing 1 or 1/2 with lag 1
+    xi = GridFunction(lag, 0, [2.0, 4.0], "step", lag)
+    x = [-0.5, -1e-300, 0.0, 0.3, 0.999, 1.0, 1.25, 1.999, 2.0, 2.5]
+    assert grid_sample(xi, x).tolist() == [0, 0, 2, 2, 2, 4, 4, 4, 0, 0]
+
+
+def test_grid_sample_smooth_leg_refuses_a_point_beyond_the_budget():
+    # 0.3 sits at level 54: its refinement is refused before it is built, alone or not
     xi = GridFunction(0, 0, [2.0, 4.0])
-    x = [-1.5, -0.5, 0.5, 1.25, 1.75, 2.5]
-    assert grid_sample(xi, x) == pytest.approx([0, 1.0, 3.0, 3.0, 1.0, 0])
+    for x in ([0.3], [0.0, 0.3]):
+        with pytest.raises(MemoryBudgetExceeded, match="refining to spacing 2\\^-54"):
+            grid_sample(xi, x)
 
 
 # -- twisted correlation ----------------------------------------------------------------
