@@ -60,16 +60,22 @@ class RationalComplex:
         return complex(float(self.re), float(self.im))
 
     def __str__(self):
-        if self.im == 0:
-            return _frac_str(self.re)
-        if self.re == 0:
-            return "i" if self.im == 1 else ("-i" if self.im == -1 else _frac_str(self.im) + "i")
-        sign = "+" if self.im > 0 else "-"
-        return f"({_frac_str(self.re)}{sign}{_frac_str(abs(self.im))}i)"
+        return _complex_str(self.re, self.im, _frac_str)
 
 
 def _frac_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def _complex_str(re, im, part) -> str:
+    """re + im i in the one coefficient layout, each part written by `part`;
+    an imaginary part alone that is written 1 or -1 reads i or -i."""
+    if im == 0:
+        return part(re)
+    if re == 0:
+        text = part(im)
+        return {"1": "i", "-1": "-i"}.get(text, text + "i")
+    return f"({part(re)}{'+' if im > 0 else '-'}{part(abs(im))}i)"
 
 
 RC_ONE = RationalComplex(Fraction(1))
@@ -230,14 +236,6 @@ class Element:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def zero(cls, exact=True):
-        return cls({}, exact, _normalized=True)
-
-    @classmethod
-    def one(cls):
-        return cls({IDENTITY: RC_ONE}, True, _normalized=True)
-
-    @classmethod
     def monomial(cls, m: Monomial, coeff=1):
         c, exact = _coerce(coeff)
         return cls._single(m, c, exact)
@@ -369,7 +367,7 @@ class Element:
         """self^n by repeated squaring: about 2 log2(n) products."""
         if n < 0:
             raise ValueError("negative powers are not defined on general elements")
-        out, base = Element.one(), self
+        out, base = one(), self
         while n:
             if n & 1:
                 out = out * base
@@ -490,17 +488,10 @@ class Element:
 
 def _coeff_str(c, exact: bool) -> tuple[str, bool]:
     """Printable magnitude of a coefficient and whether its sign is negative."""
-    if exact:
-        neg = c.re < 0 or (c.re == 0 and c.im < 0)
-        return str(-c if neg else c), neg
-    neg = c.real < 0 or (c.real == 0 and c.imag < 0)
-    d = -c if neg else c
-    if d.imag == 0:
-        return repr(d.real), neg
-    if d.real == 0:
-        return f"{d.imag!r}i", neg
-    sign = "+" if d.imag > 0 else "-"
-    return f"({d.real!r}{sign}{abs(d.imag)!r}i)", neg
+    re, im = (c.re, c.im) if exact else (c.real, c.imag)
+    neg = re < 0 or (re == 0 and im < 0)
+    return _complex_str(-re if neg else re, -im if neg else im,
+                        _frac_str if exact else repr), neg
 
 
 # -- generators and common elements ------------------------------------------
@@ -518,12 +509,16 @@ def s_adj() -> Element:
     return Element.monomial(Monomial(1, 0, 0, 0))
 
 
+def imaginary_unit() -> Element:
+    return Element.scalar(RationalComplex(Fraction(0), Fraction(1)))
+
+
 def one() -> Element:
-    return Element.one()
+    return Element({IDENTITY: RC_ONE}, True, _normalized=True)
 
 
 def zero() -> Element:
-    return Element.zero()
+    return Element({}, True, _normalized=True)
 
 
 def projection(offset: int, level: int) -> Element:

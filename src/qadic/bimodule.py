@@ -120,11 +120,10 @@ class BimoduleElement:
         return BimoduleElement(out)
 
     def act(self, q: Element) -> "BimoduleElement":
-        """Right action of an algebra element, term by term."""
-        total = BimoduleElement()
-        for m, c in q.terms.items():
-            total = total + self.act_word(*m.word()).scale(complex(c))
-        return total
+        """Right action of an algebra element: every term's tensors, merged once."""
+        return BimoduleElement(
+            pair for m, c in q.terms.items()
+            for pair in self.act_word(*m.word()).scale(complex(c)).tensors.items())
 
 
 # -- the algebra-valued inner product -------------------------------------------

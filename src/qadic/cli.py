@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import algebra
-from .algebra import Element, RationalComplex
+from .algebra import Element
 from .bimodule import equivalence_residual
 from .errors import MemoryBudgetExceeded, ParseError, QadicError
 from .grid import (
@@ -42,8 +42,10 @@ from .wold import MonomialIsometry, build_extension_unitary, check_intertwining
 
 MAX_NESTING = 100  # deepest parenthesis nesting; the parser recurses once per level
 
+# the atoms, each an algebra generator
+_ATOMS = {"u": algebra.u, "s": algebra.s, "i": algebra.imaginary_unit}
 # single-character tokens; integers and powers are read by _NUMBER
-_TOKEN_KINDS = {"u": "name", "s": "name", "i": "name", "*": "star", "+": "plus",
+_TOKEN_KINDS = {**dict.fromkeys(_ATOMS, "name"), "*": "star", "+": "plus",
                 "-": "minus", "(": "lparen", ")": "rparen", "/": "slash"}
 _NUMBER = re.compile(r"[0-9]+|\^(?:\*|-?[0-9]+)?")
 
@@ -133,12 +135,7 @@ class _Parser:
             base = self.scalar()
         elif tok[0] == "name":
             self.advance()
-            if tok[1] == "u":
-                base = algebra.u()
-            elif tok[1] == "s":
-                base = algebra.s()
-            else:
-                base = Element.scalar(RationalComplex(Fraction(0), Fraction(1)))
+            base = _ATOMS[tok[1]]()
         elif tok[0] == "lparen":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok[2], set())
@@ -159,8 +156,8 @@ class _Parser:
             den = self.expect("int")[1]
             if den == 0:
                 raise ParseError("division by zero", self.tokens[self.pos - 1][2], set())
-            return Element.scalar(RationalComplex(Fraction(num, den)))
-        return Element.scalar(RationalComplex(Fraction(num)))
+            return Element.scalar(Fraction(num, den))
+        return Element.scalar(num)
 
     def trailers(self, base: Element) -> Element:
         while True:
@@ -185,9 +182,8 @@ class _Parser:
 def _is_translation(e: Element) -> bool:
     if len(e.terms) != 1:
         return False
-    (m, c), = e.terms.items()
-    return m.dom_level == 0 and m.range_level == 0 and e.exact \
-        and c == RationalComplex(Fraction(1))
+    m, = e.terms
+    return e == algebra.u(m.base_image)
 
 
 def parse_expr(src: str) -> Element:

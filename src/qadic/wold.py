@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import MAX_WINDOW, Element, Monomial, one
+from .algebra import MAX_WINDOW, Element, Monomial, one, zero
 from .errors import CuntzRelationViolation, MemoryBudgetExceeded, UnsupportedIsometry
 
 
@@ -47,8 +47,8 @@ class MonomialIsometry:
     def from_element(cls, e: Element) -> "MonomialIsometry":
         if not e.exact or len(e.terms) != 1:
             raise UnsupportedIsometry("only single-monomial isometries are supported")
-        m, c = next(iter(e.terms.items()))
-        if not (c.re == 1 and c.im == 0):
+        m, = e.terms
+        if e != Element.monomial(m):
             raise UnsupportedIsometry("isometry coefficient must be 1")
         return cls(m)
 
@@ -72,14 +72,14 @@ class WoldData:
     """Support of the unitary part: nothing, one basis line, or everything."""
 
     isometry: MonomialIsometry
-    kind: str  # "empty" | "fixed" | "all"
     fixed_point: int | None = None
 
-    def __post_init__(self):
-        if self.kind not in ("empty", "fixed", "all"):
-            raise ValueError(f"bad kind {self.kind!r}")
-        if self.kind == "fixed" and self.isometry.apply_index(self.fixed_point) != self.fixed_point:
-            raise ValueError("fixed_point is not fixed by the isometry")
+    @property
+    def kind(self) -> str:
+        """The support: "all" for slope 2^0, "fixed" on a fixed point, else "empty"."""
+        if self.isometry.slope_exp == 0:
+            return "all"
+        return "empty" if self.fixed_point is None else "fixed"
 
 
 def unitary_part(S: MonomialIsometry) -> WoldData:
@@ -91,12 +91,8 @@ def unitary_part(S: MonomialIsometry) -> WoldData:
     unitary outright.
     """
     i, c = S.slope_exp, S.offset
-    if i == 0:
-        return WoldData(S, "all")
     denom = (1 << i) - 1
-    if c % denom == 0:
-        return WoldData(S, "fixed", -c // denom)
-    return WoldData(S, "empty")
+    return WoldData(S, -c // denom if i and c % denom == 0 else None)
 
 
 def _check_cuntz(S0: MonomialIsometry, S1: MonomialIsometry) -> tuple[int, int]:
@@ -111,7 +107,7 @@ def build_vn(S0: MonomialIsometry, S1: MonomialIsometry, n: int) -> Element:
     """The n-th partial sum of the shift-part intertwiner, in canonical form."""
     _check_cuntz(S0, S1)
     e0, e1 = S0.element(), S1.element()
-    out = Element.zero()
+    out = zero()
     left, right = one(), one()
     for _ in range(n + 1):
         out = out + left * e1 * e0.adjoint() * right
@@ -128,7 +124,7 @@ def apply_v_limit(S0: MonomialIsometry, S1: MonomialIsometry, vec: dict) -> dict
     exact when every value is exact, complex otherwise, zeros dropped.
     """
     shift, fixed_point = _check_cuntz(S0, S1)
-    return {n + shift: c for n, c in Element.one().apply(vec).items() if n != fixed_point}
+    return {n + shift: c for n, c in one().apply(vec).items() if n != fixed_point}
 
 
 def build_extension_unitary(S0: MonomialIsometry, S1: MonomialIsometry,

@@ -19,6 +19,7 @@ from qadic.algebra import (
     compose,
     diagonal_expectation,
     embed_2x2,
+    imaginary_unit,
     mat_adjoint,
     mat_mul,
     one,
@@ -575,6 +576,42 @@ def test_text_form_examples():
     assert str(s() * s_adj()) == "s s*"
     assert str(u(-1)) == "u^-1"
     assert str(-one()) == "-1"
+
+
+@pytest.mark.parametrize("coeff, text", [
+    # exact: real only, imaginary only (a unit part reads i), both parts, negative lead
+    (RationalComplex(Fraction(3, 2)), "3/2 u"),
+    (RationalComplex(Fraction(0), Fraction(1)), "i u"),
+    (RationalComplex(Fraction(0), Fraction(-1)), "-i u"),
+    (RationalComplex(Fraction(0), Fraction(2, 3)), "2/3i u"),
+    (RationalComplex(Fraction(0), Fraction(-2)), "-2i u"),
+    (RationalComplex(Fraction(1, 2), Fraction(1)), "(1/2+1i) u"),
+    (RationalComplex(Fraction(1, 2), Fraction(-3)), "(1/2-3i) u"),
+    (RationalComplex(Fraction(-1, 2), Fraction(3)), "-(1/2-3i) u"),
+    (RationalComplex(Fraction(-5)), "-5 u"),
+    # numeric: the same layout with repr parts, so a unit part keeps its 1.0
+    (2.5, "2.5 u"),
+    (-1.0, "-1.0 u"),
+    (1j, "1.0i u"),
+    (-1j, "-1.0i u"),
+    (0.5j, "0.5i u"),
+    (-2.5j, "-2.5i u"),
+    (1 + 1j, "(1.0+1.0i) u"),
+    (-0.5 + 2j, "-(0.5-2.0i) u"),
+])
+def test_coefficient_text_layouts(coeff, text):
+    assert str(u().scale(coeff)) == text
+
+
+def test_coefficient_text_of_scalars_and_later_terms():
+    assert [str(RationalComplex(Fraction(re), Fraction(im))) for re, im in
+            [(0, 1), (0, -1), (-1, 0), (-1, -3), (0, Fraction(-1, 2))]] == [
+        "i", "-i", "-1", "(-1-3i)", "-1/2i"]
+    assert imaginary_unit() * imaginary_unit() == -one()
+    assert str(-imaginary_unit()) == "-i"
+    assert str(one().scale(-1j)) == "-1.0i"
+    assert str(u() - s().scale(RationalComplex(Fraction(0), Fraction(1)))) == "u - i s"
+    assert str(u().scale(1.0) + s().scale(-2j)) == "1.0 u - 2.0i s"
 
 
 def test_json_round_trip():

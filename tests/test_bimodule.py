@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qadic import bimodule, grid
-from qadic.algebra import Monomial, compose, one, projection, s, s_adj, u
+from qadic.algebra import Element, Monomial, compose, one, projection, s, s_adj, u
 from qadic.bimodule import (
     INNER_EPS,
     BimoduleElement,
@@ -28,10 +29,12 @@ from qadic.grid import (
     GaussianSymbol,
     TabulatedFourierPair,
     affine_reindex,
+    fourier,
     fourier_inv,
     indicator,
     inner,
     norm,
+    rep_apply,
     sample_symbol,
 )
 from qadic.cli import (
@@ -216,6 +219,31 @@ def test_act_word_is_the_per_generator_composition(phi, a, i, j, b):
     assert list(got.tensors) == list(want.tensors)
     for key, xi in got.tensors.items():
         assert norm(xi - want.tensors[key]) == 0, key
+
+
+_WORDS = st.tuples(st.integers(-3, 3), st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3),
+                   st.integers(-4, 4).filter(bool))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(tensors(), min_size=1, max_size=3), st.lists(_WORDS, min_size=1, max_size=4),
+       st.booleans())
+def test_act_merges_every_term_once(parts, words, numeric):
+    # one merge of every term's scaled tensors, in term order, is the
+    # term-by-term running sum, leg for leg and bit for bit
+    phi = BimoduleElement(pair for part in parts for pair in part.tensors.items())
+    q = Element.sum(Element.from_word(a, i, j, b, c * (0.5 + 0.25j) if numeric else Fraction(c, 3))
+                    for a, i, j, b, c in words)
+    want = BimoduleElement()
+    for m, c in q.terms.items():
+        want = want + phi.act_word(*m.word()).scale(complex(c))
+    got = phi.act(q)
+    assert list(got.tensors) == list(want.tensors)
+    for key, xi in got.tensors.items():
+        ref = want.tensors[key]
+        assert (xi.spacing_exp, xi.start_index, xi.lag, xi.style) == \
+            (ref.spacing_exp, ref.start_index, ref.lag, ref.style)
+        assert xi.samples.tobytes() == ref.samples.tobytes()
 
 
 # -- algebra-valued inner product ------------------------------------------------
@@ -734,6 +762,51 @@ def test_equivalence_residuals_keep_their_error_behaviour():
         for k, (d, c, _) in enumerate(EQUIV_CASES):
             bound = 1.1 * fine[k] if fine else 1e-14
             assert equivalence_residual(f, d, c, *xis) <= bound, (g, d, c)
+
+
+def reference_coefficient(f, d, c, sym1, sym2):
+    """The normalized coefficient c^(1/2) int e(s d) fcheck(s) K(s) ds / (|xi1| |xi2|) of a
+    bump f and Gaussian vectors, by 400-node Gauss-Legendre on fcheck's support.
+
+    The overlap K(s) = int conj xi1(t) e(t d) xi2(c (t + s)) dt of Gaussians (mu1, w1),
+    (mu2, w2) is closed form: with a1 = w1^-2, a2 = c^2 w2^-2, A = a1 + a2,
+    nu = mu2 / c - s and m = (a1 mu1 + a2 nu) / A,
+    K(s) = A^(-1/2) exp(-pi a1 a2 (mu1 - nu)^2 / A) e(m d) exp(-pi d^2 / A),
+    and |xi|^2 = w / sqrt(2).
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(400)
+    s_nodes = f.center + f.radius * nodes
+    (mu1, w1), (mu2, w2) = (sym1.center, sym1.width), (sym2.center, sym2.width)
+    a1, a2 = w1 ** -2, (c / w2) ** 2
+    big_a = a1 + a2
+    nu = mu2 / c - s_nodes
+    m = (a1 * mu1 + a2 * nu) / big_a
+    overlap = big_a ** -0.5 * np.exp(-np.pi * a1 * a2 * (mu1 - nu) ** 2 / big_a) \
+        * np.exp(2j * np.pi * m * d) * np.exp(-np.pi * d ** 2 / big_a)
+    integral = f.radius * np.dot(weights, np.exp(2j * np.pi * s_nodes * d)
+                                          * f.fcheck_values(s_nodes) * overlap)
+    return math.sqrt(c) * integral / math.sqrt(w1 * w2 / 2)
+
+
+@pytest.mark.parametrize("case", default_cases(), ids=lambda case: f"d={case['d']},c={case['c']}")
+def test_each_route_against_an_independent_reference(case):
+    # the standard route sits at the reference's roundoff floor (<= 2.4e-14) at every g;
+    # the induced route converges at order 4, so on Gaussian cases the residual is its error
+    f = BumpSymbol(case["f"]["center"], case["f"]["radius"])
+    d, c = parse_case_dyadic(case["d"]), parse_case_pow2(case["c"])
+    syms = [GaussianSymbol(case[key]["center"], case[key]["width"]) for key in ("xi1", "xi")]
+    ref = reference_coefficient(f, float(d), float(c), *syms)
+    induced_errors = []
+    for g in (4, 5, 6, 8, 10, 12):
+        xi1, xi2 = (sample_symbol(sym, g, -16, 16) for sym in syms)
+        scale = norm(xi1) * norm(xi2)
+        standard = inner(xi1, fourier(rep_apply(f, d, c, fourier_inv(xi2)))) / scale
+        assert abs(standard - ref) <= 1e-13, g
+        if g <= 6:
+            induced = induced_inner(induce(xi1), left_action(f, d, c, induce(xi2))) / scale
+            induced_errors.append(abs(induced - ref))
+    orders = [math.log2(a / b) for a, b in zip(induced_errors, induced_errors[1:])]
+    assert all(abs(order - 4) <= 0.2 for order in orders), orders
 
 
 def indicator_residual(g):

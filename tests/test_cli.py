@@ -301,6 +301,21 @@ def test_cmd_apply_csv(capsys):
     assert capsys.readouterr().out.splitlines() == ["n,re,im", "4,1.0,0.0", "6,0.5,0.0"]
 
 
+def test_cmd_apply_json(capsys):
+    assert main(["apply", "u + 1/2 s", "--basis", "3", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == [{"n": 4, "re": 1.0, "im": 0.0},
+                                                   {"n": 6, "re": 0.5, "im": 0.0}]
+
+
+def test_cmd_wold_json(capsys):
+    assert main(["wold", "--s0", "s", "--s1", "u s", "-N", "4", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data == {"window": 4,
+                    "table": [{"n": n, "image": n + 1, "re": 1.0, "im": 0.0}
+                              for n in range(-4, 5)],
+                    "checks": {"US0=S1": True, "S0U=U2S0": True, "checked": 9}}
+
+
 def test_cmd_expect(capsys):
     assert main(["expect", "u"]) == 0
     assert capsys.readouterr().out.strip() == "0"
@@ -545,6 +560,11 @@ _HOSTILE = {
     "radius-string": (dict(_CASE, f={"kind": "bump", "radius": "wide"}), 2,
                       "case 0: key 'radius'"),
     "width-bool": (dict(_CASE, xi={"kind": "gaussian", "width": True}), 2, "case 0: key 'width'"),
+    # non-positive sizes reach the symbol constructors, which refuse them
+    "width-zero": (dict(_CASE, f={"kind": "gaussian", "width": 0}), 2,
+                   "case 0: width must be positive"),
+    "radius-negative": (dict(_CASE, xi={"kind": "bump", "radius": -1}), 2,
+                        "case 0: radius must be positive"),
     # a tolerance not above 0 is an input error, as it is on --tol
     "tol-zero": (dict(_CASE, tol=0), 2, "case 0: key 'tol': tolerance must be positive"),
     "tol-negative": (dict(_CASE, tol=-1), 2, "case 0: key 'tol': tolerance must be positive"),

@@ -30,6 +30,17 @@ def test_only_algebra_builds_monomials_from_fields():
     assert found == []
 
 
+def test_only_algebra_reads_the_coefficient_format():
+    # exact coefficients are private to algebra.py: other modules build them
+    # through Element.scalar and compare them as elements
+    found = [f"{path.name}:{node.lineno}" for path in sorted(LIBRARY.glob("*.py"))
+             if path.name != "algebra.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if getattr(node, "id", getattr(node, "name", None)) == "RationalComplex"
+             or isinstance(node, ast.Attribute) and node.attr in ("RationalComplex", "re", "im")]
+    assert found == []
+
+
 def _names(node):
     """The class names an exception expression or handler type refers to."""
     if isinstance(node, ast.Tuple):
